@@ -32,10 +32,18 @@ from .graph import (
 )
 from .gen_io import (
     GraphFamilySpec,
+    complete,
+    cycle,
+    heawood,
+    mcgee,
     named_graph,
     parse_dimacs,
     parse_graph6,
+    path,
+    petersen,
+    prism,
     random_regular,
+    regular_tree,
     write_graph6,
 )
 from .game import (

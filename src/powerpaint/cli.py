@@ -2,7 +2,8 @@
 selftest. JSON results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success (and painter never lost), 1 a game or property
-failed, 2 usage or input error.
+failed (including a painter breaking its own invariants), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 
 from . import gen_io
-from .errors import PowerPaintError
+from .errors import PowerPaintError, StrategyInvariantViolation
 from .game import (
     TokenBudgets,
     play_game,
@@ -211,6 +212,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except StrategyInvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except PowerPaintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

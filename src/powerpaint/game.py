@@ -50,12 +50,10 @@ class GameState:
         self.alive = set(range(len(budgets)))
         self.tokens = {v: budgets[v] for v in self.alive}
         self.round = 0  # 1-based once play starts
-        self.colored_at = {}
 
     def color(self, v: int):
         self.alive.discard(v)
         del self.tokens[v]
-        self.colored_at[v] = self.round
 
 
 @dataclass

@@ -10,7 +10,8 @@ on every platform, so seeded corpora are reproducible byte-for-byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GiveUpError, ParseError, PreconditionError
@@ -20,6 +21,7 @@ from .graph import Graph
 # graph6
 
 _G6_MAX_LONG = 258047
+_G6_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -29,11 +31,12 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise ParseError("empty graph6 line", offset=0)
-    data = line.encode("ascii", errors="replace")
-    for i, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise ParseError(f"character {data[i:i+1]!r} outside 63..126",
-                             offset=i)
+    data = line.encode()
+    bad = re.search(rb"[^?-~]", data)  # outside 63..126
+    if bad:
+        i = bad.start()
+        raise ParseError(f"character {data[i:i+1]!r} outside 63..126",
+                         offset=i)
     pos = 0
     if data[0] == 126:  # '~'
         if len(data) >= 2 and data[1] == 126:
@@ -52,24 +55,22 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"expected {nbytes} body bytes for n={n}, got {len(data) - pos}",
             offset=pos)
-    bits = []
-    for i in range(pos, len(data)):
-        val = data[i] - 63
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    for i in range(nbits, len(bits)):
-        if bits[i]:
-            raise ParseError("nonzero padding bits",
-                             offset=pos + i // 6)
-    edges = []
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[idx]:
-                edges.append((row, col))
-            idx += 1
+    bits = "".join(map(_G6_BITS.__getitem__, data[pos:]))
+    i = bits.find("1", nbits)
+    if i >= 0:
+        raise ParseError("nonzero padding bits", offset=pos + i // 6)
     if n == 0:
         raise ParseError("graph6 with zero vertices", offset=0)
+    # Bit i is the pair (row, col) with i = col*(col-1)/2 + row, row < col.
+    edges = []
+    col, first = 1, 0
+    i = bits.find("1")
+    while i >= 0:
+        while i >= first + col:
+            first += col
+            col += 1
+        edges.append((i - first, col))
+        i = bits.find("1", i + 1)
     return Graph(n, edges)
 
 
@@ -83,18 +84,16 @@ def write_graph6(g: Graph) -> str:
     else:
         header = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63),
                   63 + (n & 63)]
-    bits = []
+    nbits = n * (n - 1) // 2
+    bits = bytearray(nbits + (-nbits) % 6)
     for col in range(1, n):
-        for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        body.append(val + 63)
+        first = col * (col - 1) // 2
+        for row in g.adj[col]:
+            if row >= col:
+                break
+            bits[first + row] = 1
+    body = [63 + (a << 5 | b << 4 | c << 3 | d << 2 | e << 1 | f)
+            for a, b, c, d, e, f in zip(*[iter(bits)] * 6)]
     return bytes(header + body).decode("ascii")
 
 

@@ -1,13 +1,17 @@
 """Immutable simple graphs with the metric and structural queries the
-painter strategies rely on: all-pairs distances, graph powers, girth,
-diameter, 2k-cycle enumeration, case classification and the special
-frame used by the main strategy.
+painter strategies rely on: graph powers, girth, diameter, 2k-cycle
+enumeration, case classification and the special frame used by the
+main strategy.
+
+Every metric query is a depth-bounded BFS ball (``ball``) of radius at
+most k+1 around the vertices it concerns. Only the report's exact
+``diameter`` is all-pairs, through the cached ``Graph.distances``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import (
@@ -131,14 +135,8 @@ class DistanceMatrix:
     def __call__(self, u: int, v: int) -> int:
         return self.dist[u][v]
 
-    def eccentricity(self, u: int) -> int:
-        return max(self.dist[u])
-
     def diameter(self) -> int:
         return max(max(row) for row in self.dist)
-
-    def dist_to_set(self, u: int, targets: Iterable[int]) -> int:
-        return min(self.dist[u][t] for t in targets)
 
 
 def bound_D(k: int, delta: int) -> int:
@@ -154,6 +152,25 @@ def bound_D(k: int, delta: int) -> int:
     return delta * sum((delta - 1) ** (i - 1) for i in range(1, k + 1))
 
 
+def ball(g: Graph, sources: Iterable[int],
+         radius: Optional[int] = None) -> dict[int, int]:
+    """Hop distance from the nearest source to every vertex within
+    ``radius`` (every reachable vertex when None), in BFS order."""
+    dist = {s: 0 for s in sources}
+    frontier = list(dist)
+    depth = 0
+    while frontier and depth != radius:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = depth
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def kth_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with edges between all pairs at
     distance 1..k in ``g``."""
@@ -163,130 +180,82 @@ def kth_power(g: Graph, k: int) -> Graph:
         raise PreconditionError("kth_power requires a connected graph")
     if k == 1:
         return g
-    d = g.distances()
-    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-             if 1 <= d(u, v) <= k]
-    return Graph(g.n, edges)
+    return Graph(g.n, [(u, v) for u in range(g.n)
+                       for v in ball(g, [u], k) if u < v])
 
 
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for a forest.
 
-    Per-vertex BFS: the first non-tree edge closing two BFS branches
-    bounds the shortest cycle through the root.
+    Per-vertex BFS, stopped once no shorter cycle can close: a vertex at
+    depth d with two neighbors at depth d-1 closes a cycle of length at
+    most 2d, an edge inside depth d one of at most 2d+1.
     """
     best = None
     for s in range(g.n):
-        depth = [UNREACHABLE] * g.n
-        parent = [-1] * g.n
-        depth[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if depth[v] == UNREACHABLE:
-                    depth[v] = depth[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif v != parent[u]:
-                    cyc = depth[u] + depth[v] + 1
-                    if best is None or cyc < best:
-                        best = cyc
+        dist = ball(g, [s], None if best is None else (best - 1) // 2)
+        for u, du in dist.items():
+            around = [dist.get(v) for v in g.adj[u]]
+            if around.count(du - 1) >= 2:
+                cyc = 2 * du
+            elif du in around:
+                cyc = 2 * du + 1
+            else:
+                continue
+            if best is None or cyc < best:
+                best = cyc
     return best
+
+
+def _cycles(g: Graph, length: int):
+    """Yield every simple cycle of ``length`` vertices once, starting at
+    its least vertex s and heading to the smaller of s's two cycle
+    neighbors.
+
+    DFS from each root s over vertices > s, pruned by the radius
+    length//2 ball of s: a vertex that still needs r more steps to get
+    back to s must lie within distance r of it.
+    """
+    for s in range(g.n):
+        dist = ball(g, [s], length // 2)
+        path, on_path, stack = [s], {s}, [iter(g.adj[s])]
+        while stack:
+            remaining = length - len(path)
+            for v in stack[-1]:
+                if (v > s and v not in on_path
+                        and dist.get(v, length) <= remaining):
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
+                continue
+            if remaining > 1:
+                path.append(v)
+                on_path.add(v)
+                stack.append(iter(g.adj[v]))
+            elif path[1] < v:  # v is adjacent to s; one orientation only
+                yield path + [v]
 
 
 def shortest_cycle(g: Graph) -> Optional[list[int]]:
     """A witness cycle of length girth(g), as a vertex sequence."""
     gg = girth(g)
-    if gg is None:
-        return None
-    d = g.distances()
-
-    def extend(s: int, path: list[int], on_path: set[int]):
-        u = path[-1]
-        remaining = gg - len(path)
-        if remaining == 0:
-            return list(path) if g.has_edge(u, s) else None
-        for v in g.adj[u]:
-            if v <= s or v in on_path:
-                continue
-            dv = d(v, s)
-            if dv == UNREACHABLE or dv > remaining:
-                continue
-            path.append(v)
-            on_path.add(v)
-            hit = extend(s, path, on_path)
-            if hit is not None:
-                return hit
-            path.pop()
-            on_path.remove(v)
-        return None
-
-    for s in range(g.n):
-        hit = extend(s, [s], {s})
-        if hit is not None:
-            return hit
-    raise AssertionError("girth reported but no witness cycle found")
-
-
-def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
-    """Canonical form under rotation and reflection: start at the
-    minimum vertex, take the lexicographically smaller direction."""
-    m = len(cycle)
-    i = cycle.index(min(cycle))
-    fwd = tuple(cycle[(i + j) % m] for j in range(m))
-    bwd = tuple(cycle[(i - j) % m] for j in range(m))
-    return min(fwd, bwd)
+    return None if gg is None else next(_cycles(g, gg))
 
 
 def enumerate_cycles(g: Graph, length: int,
                      cap: int = DEFAULT_CYCLE_CAP) -> list[list[int]]:
     """All simple cycles of exactly ``length`` vertices, each reported
-    once up to rotation/reflection.
-
-    DFS rooted at each vertex s, restricted to vertices > s except the
-    root, pruned by remaining depth vs. distance back to the root.
-    Reflection duplicates are cut by requiring path[1] < path[-1].
-    """
+    once up to rotation/reflection, in the canonical form of
+    ``_cycles``."""
     if length < 3:
         raise PreconditionError(f"cycle length must be >= 3, got {length}")
-    d = g.distances()
     found: list[list[int]] = []
-
-    def extend(s: int, path: list[int], on_path: set[int]):
-        u = path[-1]
-        remaining = length - len(path)
-        if remaining == 0:
-            if g.has_edge(u, s) and path[1] < path[-1]:
-                found.append(list(path))
-                if len(found) > cap:
-                    raise CycleCapError(
-                        f"more than {cap} cycles of length {length}")
-            return
-        for v in g.adj[u]:
-            if v <= s or v in on_path:
-                continue
-            dv = d(v, s)
-            if dv == UNREACHABLE or dv > remaining:
-                continue
-            path.append(v)
-            on_path.add(v)
-            extend(s, path, on_path)
-            path.pop()
-            on_path.remove(v)
-
-    for s in range(g.n):
-        extend(s, [s], {s})
-    # The path[1] < path[-1] cut already yields one orientation per cycle;
-    # canonicalization guards against any residual duplicates.
-    seen = set()
-    out = []
-    for c in found:
-        key = _canonical_cycle(c)
-        if key not in seen:
-            seen.add(key)
-            out.append(list(key))
-    return out
+    for c in _cycles(g, length):
+        found.append(c)
+        if len(found) > cap:
+            raise CycleCapError(f"more than {cap} cycles of length {length}")
+    return found
 
 
 @dataclass(frozen=True)
@@ -386,7 +355,7 @@ def classify(g: Graph, k: int,
         report = structural_report(g, k)
     if report.girth is not None and report.girth < 2 * k:
         return CaseLabel(CaseLabel.SHORT_CYCLE,
-                         short_cycle=tuple(shortest_cycle(g)))
+                         short_cycle=tuple(next(_cycles(g, report.girth))))
     if not report.two_k_cycles_disjoint:
         pair = _intersecting_pair(report.two_k_cycles)
         return CaseLabel(CaseLabel.INTERSECTING, intersecting_cycles=pair)
@@ -426,37 +395,40 @@ class SpecialFrame:
 def _lex_least_shortest_path(g: Graph, src: int, dst: int) -> list[int]:
     """Lexicographically least among shortest src->dst paths, by greedy
     descent over distances to dst (neighbor ids ascend already)."""
-    d = g.distances()
+    d = ball(g, [dst])
     path = [src]
     u = src
     while u != dst:
-        u = min(v for v in g.adj[u] if d(v, dst) == d(u, dst) - 1)
+        u = min(v for v in g.adj[u] if d[v] == d[u] - 1)
         path.append(u)
     return path
 
 
-def find_special_frame(g: Graph, k: int) -> SpecialFrame:
+def find_special_frame(g: Graph, k: int,
+                       label: Optional[CaseLabel] = None) -> SpecialFrame:
     """Deterministic search for a special frame in a MainCase graph.
 
     Scans (x1,y1) pairs in lexicographic order, then neighbor pairs
     (x2,y2) in id order, accepting the first pair at mutual distance
     >= k+1. v sits at distance exactly 2 from x1 on the path; w is v's
-    path neighbor toward y1 unless that vertex is x2 or y2.
+    path neighbor toward y1 unless that vertex is x2 or y2. ``label``
+    is the case label of (g, k) when the caller already has it.
     """
     if k < 3:
         raise PreconditionError(f"k must be >= 3, got {k}")
-    label = classify(g, k)
+    if label is None:
+        label = classify(g, k)
     if label.kind != CaseLabel.MAIN_CASE:
         raise PreconditionError(
             f"find_special_frame requires MainCase, got {label.kind}")
-    d = g.distances()
     for x1 in range(g.n):
-        for y1 in range(g.n):
-            if d(x1, y1) != k + 1:
-                continue
+        sphere = sorted(y for y, d in ball(g, [x1], k + 1).items()
+                        if d == k + 1)
+        near = {x2: ball(g, [x2], k) for x2 in g.adj[x1]}
+        for y1 in sphere:
             for x2 in g.adj[x1]:
                 for y2 in g.adj[y1]:
-                    if d(x2, y2) >= k + 1:
+                    if y2 not in near[x2]:
                         return _build_frame(g, k, x1, x2, y1, y2)
     raise NoFrameError(
         "no (x1,x2,y1,y2) frame found in a MainCase graph; "
@@ -465,7 +437,6 @@ def find_special_frame(g: Graph, k: int) -> SpecialFrame:
 
 def _build_frame(g: Graph, k: int, x1: int, x2: int, y1: int,
                  y2: int) -> SpecialFrame:
-    d = g.distances()
     path = _lex_least_shortest_path(g, x1, y1)
     v = path[2]
     after, before = path[3], path[1]
@@ -476,8 +447,9 @@ def _build_frame(g: Graph, k: int, x1: int, x2: int, y1: int,
     else:
         raise NoFrameError("both path neighbors of v collide with x2/y2")
     head = [x1, x2, y1, y2]
+    d = ball(g, [v, w])
     rest = [u for u in range(g.n) if u not in head and u not in (v, w)]
-    rest.sort(key=lambda u: (-min(d(u, v), d(u, w)), u))
+    rest.sort(key=lambda u: (-d[u], u))
     order = tuple(head + rest + [w, v])
     frame = SpecialFrame(x1=x1, x2=x2, y1=y1, y2=y2, path=tuple(path),
                          v=v, w=w, order=order)
@@ -486,14 +458,14 @@ def _build_frame(g: Graph, k: int, x1: int, x2: int, y1: int,
 
 
 def _check_frame(g: Graph, k: int, f: SpecialFrame):
-    d = g.distances()
+    near_v, near_w = ball(g, [f.v], k), ball(g, [f.w], k)
     ok = (
-        d(f.x1, f.y1) == k + 1
+        ball(g, [f.x1], k + 1).get(f.y1) == k + 1
         and g.has_edge(f.x1, f.x2) and g.has_edge(f.y1, f.y2)
-        and d(f.x2, f.y2) >= k + 1
+        and f.y2 not in ball(g, [f.x2], k)
         and f.w not in (f.x2, f.y2)
-        and all(d(f.v, z) <= k for z in f.frame_vertices())
-        and d(f.w, f.x1) <= k and d(f.w, f.y1) <= k
+        and all(z in near_v for z in f.frame_vertices())
+        and f.x1 in near_w and f.y1 in near_w
         and len(f.path) == k + 2
         and sorted(f.order) == list(range(g.n))
     )

@@ -27,10 +27,15 @@ def _caps(vertex_cap, token_cap):
     env = os.environ.get("POWERPAINT_CAPS")
     if env:
         parts = env.split(",")
-        if vertex_cap is None and len(parts) >= 1 and parts[0].strip():
-            vertex_cap = int(parts[0])
-        if token_cap is None and len(parts) >= 2 and parts[1].strip():
-            token_cap = int(parts[1])
+        try:
+            if vertex_cap is None and len(parts) >= 1 and parts[0].strip():
+                vertex_cap = int(parts[0])
+            if token_cap is None and len(parts) >= 2 and parts[1].strip():
+                token_cap = int(parts[1])
+        except ValueError:
+            raise PreconditionError(
+                f"POWERPAINT_CAPS must be 'vertices,total_tokens', "
+                f"got {env!r}") from None
     if vertex_cap is None:
         vertex_cap = DEFAULT_VERTEX_CAP
     if token_cap is None:

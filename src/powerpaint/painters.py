@@ -17,6 +17,7 @@ from .graph import (
     CaseLabel,
     Graph,
     SpecialFrame,
+    ball,
     bound_D,
     classify,
     find_special_frame,
@@ -78,7 +79,8 @@ def clique_painter() -> CliquePainter:
 class TheoremPainter:
     """The main-case strategy. Plays on the k-th power of a regular
     graph with girth >= 2k, disjoint 2k-cycles and diameter >= k+1,
-    with uniform budgets M-1 where M is the degree bound.
+    with uniform budgets M-1 where M is the degree bound. ``label`` is
+    the case label of (g, k) when the caller already has it.
 
     Per round, four frame vertices x1,x2,y1,y2 are handled by priority
     rules that steer their colors away from the lists of the two late
@@ -90,14 +92,17 @@ class TheoremPainter:
 
     def __init__(self, g: Graph, k: int,
                  frame: Optional[SpecialFrame] = None,
-                 check_slack: bool = False):
-        label = classify(g, k)
+                 check_slack: bool = False,
+                 label: Optional[CaseLabel] = None):
+        if label is None:
+            label = classify(g, k)
         if label.kind != CaseLabel.MAIN_CASE:
             raise PreconditionError(
                 f"theorem painter requires MainCase, got {label.kind}")
         self.base = g
         self.k = k
-        self.frame = frame if frame is not None else find_special_frame(g, k)
+        self.frame = (frame if frame is not None
+                      else find_special_frame(g, k, label=label))
         self.M = bound_D(k, g.max_degree)
         self.power = kth_power(g, k)
         self.check_slack = check_slack
@@ -242,11 +247,11 @@ def dispatch_painter(g: Graph, k: int):
     if not g.connected:
         raise PreconditionError("dispatch requires a connected graph")
     label = classify(g, k)
-    d = g.distances()
 
     def order_by_distance(targets, tail):
+        d = ball(g, targets)
         rest = [u for u in range(g.n) if u not in tail]
-        rest.sort(key=lambda u: (-min(d(u, t) for t in targets), u))
+        rest.sort(key=lambda u: (-d[u], u))
         return tuple(rest + list(tail))
 
     if label.kind == CaseLabel.NON_REGULAR:
@@ -274,5 +279,5 @@ def dispatch_painter(g: Graph, k: int):
                 f"diameter <= {k} graph with {g.n} > {m - 1} vertices")
         order = tuple(range(g.n))
         return clique_painter(), label, order
-    painter = main_theorem_painter(g, k)
+    painter = main_theorem_painter(g, k, label=label)
     return painter, label, painter.frame.order

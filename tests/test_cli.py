@@ -107,6 +107,14 @@ class TestPlay:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
+    def test_painter_invariant_failure_exits_1(self, capsys):
+        # budget 12 starves the theorem painter on the McGee cube
+        code, out, err = run(capsys, "play", "--family", "mcgee", "--k", "3",
+                             "--painter", "theorem", "--budget", "12",
+                             "--seed", "0")
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+
     def test_loss_exits_1(self, capsys):
         # starved budget forces losses on the greedy painter
         code, out, _ = run(capsys, "play", "--family", "petersen", "--k", "3",
@@ -128,6 +136,14 @@ class TestVerify:
                            "--budget", "2", "--mode", "choosability")
         assert code == 0
         assert json.loads(out)["choosable"] is True
+
+    def test_malformed_caps_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("POWERPAINT_CAPS", "abc")
+        code, out, err = run(capsys, "verify", "--family", "cycle", "--n",
+                             "5", "--budget", "2")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert "POWERPAINT_CAPS" in err
 
     def test_cap_exceeded_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mcgee",

@@ -65,9 +65,44 @@ class TestGraph6:
         assert line.startswith("~")
         assert parse_graph6(line) == g
 
+    @pytest.mark.parametrize("density", [0.1, 0.6])
+    def test_round_trip_every_size_to_69(self, density):
+        rng = random.Random(int(density * 100))
+        for n in range(1, 70):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < density])
+            line = write_graph6(g)
+            header = 1 if n <= 62 else 4
+            assert len(line) == header + (n * (n - 1) // 2 + 5) // 6
+            assert parse_graph6(line) == g
+
+    def test_long_header_bytes_match_networkx(self):
+        rng = random.Random(3)
+        g = Graph(130, [(u, v) for u in range(130) for v in range(u + 1, 130)
+                        if rng.random() < 0.2])
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        theirs = nx.to_graph6_bytes(G, header=False).decode().strip()
+        assert write_graph6(g) == theirs
+        assert parse_graph6(theirs) == g
+
+    def test_padding_error_offset(self):
+        # K3 has 3 edge bits; 'x' = 111001 also sets the last padding bit
+        # of the one body byte, at offset 1.
+        with pytest.raises(ParseError) as e:
+            parse_graph6("Bx")
+        assert e.value.offset == 1
+
     def test_rejects_bad_characters(self):
         with pytest.raises(ParseError) as e:
             parse_graph6("B\x1f")
+        assert e.value.offset == 1
+
+    def test_rejects_non_ascii(self):
+        # must not be read as "B?", the empty graph on 3 vertices
+        with pytest.raises(ParseError) as e:
+            parse_graph6("B\u00e9")
         assert e.value.offset == 1
 
     def test_rejects_nonzero_padding(self):

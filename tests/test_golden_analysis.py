@@ -15,8 +15,10 @@ import sys
 
 import pytest
 
+from powerpaint import graph, painters
 from powerpaint.errors import PowerPaintError
-from powerpaint.gen_io import heawood, mcgee, petersen, random_regular, write_graph6
+from powerpaint.gen_io import (heawood, mcgee, petersen, random_regular,
+                               write_graph6)
 from powerpaint.graph import (
     CaseLabel,
     Graph,
@@ -127,6 +129,22 @@ def test_golden_covers_every_route():
     kinds = {r["label"]["kind"] for r in load().values()}
     assert {CaseLabel.NON_REGULAR, CaseLabel.SHORT_CYCLE,
             CaseLabel.INTERSECTING, CaseLabel.MAIN_CASE} <= kinds
+
+
+def test_dispatch_classifies_main_case_once(monkeypatch):
+    calls = []
+    real = graph.classify
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "classify", counting)
+    monkeypatch.setattr(painters, "classify", counting)
+    painter, label, _ = dispatch_painter(lcf(*FOSTER_LCF), 4)
+    assert label.kind == CaseLabel.MAIN_CASE
+    assert isinstance(painter, painters.TheoremPainter)
+    assert calls == [4]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from powerpaint.gen_io import (
 from powerpaint.graph import (
     CaseLabel,
     Graph,
+    ball,
     bound_D,
     classify,
     enumerate_cycles,
@@ -97,6 +98,18 @@ class TestDistances:
         for u in range(g.n):
             for v in range(g.n):
                 assert (d(u, v) == 1) == g.has_edge(u, v)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, None])
+    def test_ball_matches_networkx(self, radius):
+        for seed in range(3):
+            g = random_regular(30, 3, seed)
+            G = to_nx(g)
+            for sources in ([0], [4, 17], [1, 2, 29]):
+                theirs = nx.multi_source_dijkstra_path_length(
+                    G, set(sources), cutoff=radius)
+                mine = ball(g, sources, radius)
+                assert mine == theirs
+                assert list(mine.values()) == sorted(mine.values())
 
 
 class TestKthPower:
