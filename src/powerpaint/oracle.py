@@ -28,7 +28,7 @@ def _caps(vertex_cap, token_cap):
     if env:
         parts = env.split(",")
         try:
-            if vertex_cap is None and len(parts) >= 1 and parts[0].strip():
+            if vertex_cap is None and parts[0].strip():
                 vertex_cap = int(parts[0])
             if token_cap is None and len(parts) >= 2 and parts[1].strip():
                 token_cap = int(parts[1])
