@@ -189,6 +189,40 @@ class TestTranscript:
         assert validate_transcript(g, budgets, bad) is not None
 
 
+# (case, n, rounds, winner, loser, expected message, round named in it);
+# each is replayed on K2 with one token per vertex.
+REJECTIONS = [
+    ("vertex count", 3, [], "painter", None,
+     "header vertex count mismatch", None),
+    ("index", 2, [(2, (0,), (0,))], "painter", None,
+     "round index 2 out of sequence", 1),
+    ("after end", 2, [(1, (0, 1), (0,)), (2, (1,), (1,))], "lister", 1,
+     "play continues after the game ended", 2),
+    ("empty reveal", 2, [(1, (), ())], "painter", None,
+     "empty reveal", 1),
+    ("not alive", 2, [(1, (0,), (0,)), (2, (0,), ())], "painter", None,
+     "revealed vertex not alive", 2),
+    ("unfinished", 2, [(1, (0,), (0,))], "painter", None,
+     "transcript ends with uncolored vertices and no loser", None),
+    ("loser", 2, [(1, (0, 1), (0,))], "lister", 0,
+     "recorded loser 0, replay says 1", None),
+]
+
+
+@pytest.mark.parametrize("case,n,rounds,winner,loser,expected,round_i",
+                         REJECTIONS, ids=[c[0] for c in REJECTIONS])
+def test_validator_rejections(case, n, rounds, winner, loser, expected,
+                              round_i):
+    t = Transcript(n=n, budgets=TokenBudgets.uniform(n, 1),
+                   painter_name="x", lister_name="y", seed=None)
+    t.rounds = [Round(*r) for r in rounds]
+    t.winner, t.loser_vertex = winner, loser
+    msg = validate_transcript(complete(2), TokenBudgets.uniform(2, 1), t)
+    assert msg is not None and expected in msg
+    if round_i is not None:
+        assert f"round {round_i}" in msg
+
+
 class TestListers:
     def test_random_single_alive(self):
         g = complete(1)
