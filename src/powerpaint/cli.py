@@ -23,7 +23,8 @@ from .game import (
 )
 from .graph import Graph, bound_D, classify, kth_power, structural_report
 from .oracle import solve_choosability, solve_paintability
-from .painters import clique_painter, dispatch_painter, greedy_scan_painter
+from .painters import (clique_painter, dispatch_painter, greedy_scan_painter,
+                       main_theorem_painter)
 
 
 def _add_graph_args(p: argparse.ArgumentParser):
@@ -63,10 +64,9 @@ def _make_painter(name: str, g: Graph, k: int):
         painter, label, _ = dispatch_painter(g, k)
         return painter, label.kind
     if name == "theorem":
-        from .painters import main_theorem_painter
         return main_theorem_painter(g, k), "MainCase"
     if name == "greedy":
-        return greedy_scan_painter(range(kth_power(g, k).n)), None
+        return greedy_scan_painter(range(g.n)), None
     if name == "clique":
         return clique_painter(), None
     raise PowerPaintError(f"unknown painter {name!r}")

@@ -128,8 +128,34 @@ def _is_independent(game_graph: Graph, vs) -> bool:
     return True
 
 
+def _check_reveal(state: GameState, revealed: set[int]) -> None:
+    """The Lister's rule: a nonempty set of alive vertices."""
+    if not revealed:
+        raise IllegalListerMove(f"empty reveal, round {state.round}")
+    if not revealed <= state.alive:
+        raise IllegalListerMove(
+            f"revealed vertex not alive, round {state.round}")
+
+
+def _apply_coloring(game_graph: Graph, state: GameState, revealed: set[int],
+                    colored: set[int]) -> Optional[int]:
+    """Check that ``colored`` is an independent subset of ``revealed``,
+    color it, drain the rest; return the least vertex out of tokens."""
+    if not colored <= revealed:
+        raise IllegalPainterMove(
+            f"colored vertex not revealed, round {state.round}")
+    if not _is_independent(game_graph, colored):
+        raise IllegalPainterMove(f"dependent set, round {state.round}")
+    for v in colored:
+        state.color(v)
+    drained = revealed - colored
+    for v in drained:
+        state.tokens[v] -= 1
+    return min((v for v in drained if state.tokens[v] == 0), default=None)
+
+
 def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
-              max_rounds: Optional[int] = None, seed: Optional[int] = None,
+              seed: Optional[int] = None,
               k: Optional[int] = None) -> Transcript:
     """Run one full game and return a validated transcript.
 
@@ -140,12 +166,9 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
     """
     if len(budgets) != game_graph.n:
         raise PowerPaintError("budget length does not match vertex count")
-    if max_rounds is None:
-        max_rounds = budgets.total()
+    max_rounds = budgets.total()
     for strat in (lister, painter):
-        reset = getattr(strat, "reset", None)
-        if reset is not None:
-            reset()
+        getattr(strat, "reset", lambda: None)()
     state = GameState(budgets)
     t = Transcript(n=game_graph.n, budgets=budgets,
                    painter_name=getattr(painter, "name", type(painter).__name__),
@@ -157,30 +180,14 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
                 f"game exceeded {max_rounds} rounds; referee bug")
         state.round += 1
         revealed = set(lister.choose_reveal(state, game_graph))
-        if not revealed:
-            raise IllegalListerMove(f"empty reveal, round {state.round}")
-        if not revealed.issubset(state.alive):
-            raise IllegalListerMove(
-                f"revealed dead/colored vertex, round {state.round}")
+        _check_reveal(state, revealed)
         colored = set(painter.choose_colors(state, game_graph, revealed))
-        if not colored.issubset(revealed):
-            raise IllegalPainterMove(
-                f"colored vertex not revealed, round {state.round}")
-        if not _is_independent(game_graph, colored):
-            raise IllegalPainterMove(f"dependent set, round {state.round}")
+        loser = _apply_coloring(game_graph, state, revealed, colored)
         t.rounds.append(Round(index=state.round,
                               revealed=tuple(sorted(revealed)),
                               colored=tuple(sorted(colored))))
-        for v in colored:
-            state.color(v)
-        loser = None
-        for v in revealed - colored:
-            state.tokens[v] -= 1
-            if state.tokens[v] == 0 and loser is None:
-                loser = v
         if loser is not None:
-            t.winner = "lister"
-            t.loser_vertex = loser
+            t.winner, t.loser_vertex = "lister", loser
             return t
     t.winner = "painter"
     return t
@@ -192,39 +199,28 @@ def validate_transcript(game_graph: Graph, budgets: TokenBudgets,
     description of the first violated rule."""
     if t.n != game_graph.n or len(budgets) != game_graph.n:
         return "header vertex count mismatch"
+    if t.budgets != budgets:
+        return "header budget mismatch"
     state = GameState(budgets)
-    expected_winner = None
     loser = None
     for i, r in enumerate(t.rounds, start=1):
         if r.index != i:
             return f"round index {r.index} out of sequence, round {i}"
+        if loser is not None:
+            return f"play continues after the game ended, round {i}"
         state.round = i
         revealed, colored = set(r.revealed), set(r.colored)
-        if expected_winner is not None:
-            return f"play continues after the game ended, round {i}"
-        if not revealed:
-            return f"empty reveal, round {i}"
-        if not revealed.issubset(state.alive):
-            return f"revealed vertex not alive, round {i}"
-        if not colored.issubset(revealed):
-            return f"colored vertex not revealed, round {i}"
-        if not _is_independent(game_graph, colored):
-            return f"dependent set, round {i}"
-        for v in colored:
-            state.color(v)
-        for v in revealed - colored:
-            state.tokens[v] -= 1
-            if state.tokens[v] == 0 and loser is None:
-                loser = v
-        if loser is not None:
-            expected_winner = "lister"
-    if expected_winner is None:
-        if state.alive:
-            return "transcript ends with uncolored vertices and no loser"
-        expected_winner = "painter"
+        try:
+            _check_reveal(state, revealed)
+            loser = _apply_coloring(game_graph, state, revealed, colored)
+        except (IllegalListerMove, IllegalPainterMove) as exc:
+            return str(exc)
+    if loser is None and state.alive:
+        return "transcript ends with uncolored vertices and no loser"
+    expected_winner = "painter" if loser is None else "lister"
     if t.winner != expected_winner:
         return f"recorded winner {t.winner!r}, replay says {expected_winner!r}"
-    if expected_winner == "lister" and t.loser_vertex != loser:
+    if t.loser_vertex != loser:
         return f"recorded loser {t.loser_vertex}, replay says {loser}"
     return None
 

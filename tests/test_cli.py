@@ -123,6 +123,15 @@ class TestPlay:
         assert code == 1
         assert json.loads(out)["lister_wins"] == 1
 
+    def test_simultaneous_losers_validate(self, capsys):
+        # vertices 14 and 15 run out in the same round; the validator
+        # must agree with the referee on the loser
+        code, out, err = run(capsys, "play", "--family", "mcgee", "--k", "3",
+                             "--painter", "clique", "--lister", "random",
+                             "--seed", "12", "--games", "1", "--budget", "5")
+        assert code == 1, err
+        assert json.loads(out)["lister_wins"] == 1
+
 
 class TestVerify:
     def test_c5_budget_2_lister(self, capsys):

@@ -100,6 +100,19 @@ class TestReferee:
             play_game(complete(2), TokenBudgets.uniform(2, 2),
                       ScriptedLister([{0, 1}]), ScriptedPainter([{0, 1}]))
 
+    def test_simultaneous_losers_least_vertex_recorded(self):
+        # two vertices run out in one round: the referee and the
+        # validator both name the least one, whatever the set's order
+        s = set()
+        s.add(9)
+        s.add(1)
+        g = path(10)
+        budgets = TokenBudgets.uniform(10, 1)
+        t = play_game(g, budgets, ScriptedLister([s]),
+                      ScriptedPainter([set()]))
+        assert (t.winner, t.loser_vertex) == ("lister", 1)
+        assert validate_transcript(g, budgets, t) is None
+
     def test_empty_coloring_is_legal(self):
         g = complete(2)
         lister = ScriptedLister([{0}, {0}, {1}, {1}])
@@ -189,31 +202,33 @@ class TestTranscript:
         assert validate_transcript(g, budgets, bad) is not None
 
 
-# (case, n, rounds, winner, loser, expected message, round named in it);
-# each is replayed on K2 with one token per vertex.
+# (case, header budget, rounds, winner, loser, expected message, round
+# named in it); each is replayed on K2 with one token per vertex.
 REJECTIONS = [
-    ("vertex count", 3, [], "painter", None,
+    ("vertex count", [1, 1, 1], [], "painter", None,
      "header vertex count mismatch", None),
-    ("index", 2, [(2, (0,), (0,))], "painter", None,
+    ("budget", [2, 2], [(1, (0,), (0,)), (2, (1,), (1,))], "painter", None,
+     "header budget mismatch", None),
+    ("index", [1, 1], [(2, (0,), (0,))], "painter", None,
      "round index 2 out of sequence", 1),
-    ("after end", 2, [(1, (0, 1), (0,)), (2, (1,), (1,))], "lister", 1,
+    ("after end", [1, 1], [(1, (0, 1), (0,)), (2, (1,), (1,))], "lister", 1,
      "play continues after the game ended", 2),
-    ("empty reveal", 2, [(1, (), ())], "painter", None,
+    ("empty reveal", [1, 1], [(1, (), ())], "painter", None,
      "empty reveal", 1),
-    ("not alive", 2, [(1, (0,), (0,)), (2, (0,), ())], "painter", None,
+    ("not alive", [1, 1], [(1, (0,), (0,)), (2, (0,), ())], "painter", None,
      "revealed vertex not alive", 2),
-    ("unfinished", 2, [(1, (0,), (0,))], "painter", None,
+    ("unfinished", [1, 1], [(1, (0,), (0,))], "painter", None,
      "transcript ends with uncolored vertices and no loser", None),
-    ("loser", 2, [(1, (0, 1), (0,))], "lister", 0,
+    ("loser", [1, 1], [(1, (0, 1), (0,))], "lister", 0,
      "recorded loser 0, replay says 1", None),
 ]
 
 
-@pytest.mark.parametrize("case,n,rounds,winner,loser,expected,round_i",
+@pytest.mark.parametrize("case,budget,rounds,winner,loser,expected,round_i",
                          REJECTIONS, ids=[c[0] for c in REJECTIONS])
-def test_validator_rejections(case, n, rounds, winner, loser, expected,
+def test_validator_rejections(case, budget, rounds, winner, loser, expected,
                               round_i):
-    t = Transcript(n=n, budgets=TokenBudgets.uniform(n, 1),
+    t = Transcript(n=len(budget), budgets=TokenBudgets(budget),
                    painter_name="x", lister_name="y", seed=None)
     t.rounds = [Round(*r) for r in rounds]
     t.winner, t.loser_vertex = winner, loser
