@@ -139,8 +139,7 @@ def _check_reveal(state: GameState, revealed: set[int]) -> None:
 
 def _apply_coloring(game_graph: Graph, state: GameState, revealed: set[int],
                     colored: set[int]) -> Optional[int]:
-    """Check that ``colored`` is an independent subset of ``revealed``,
-    color it, drain the rest; return the least vertex out of tokens."""
+    """Color the set, drain the rest of the reveal, return the least loser."""
     if not colored <= revealed:
         raise IllegalPainterMove(
             f"colored vertex not revealed, round {state.round}")
@@ -148,10 +147,12 @@ def _apply_coloring(game_graph: Graph, state: GameState, revealed: set[int],
         raise IllegalPainterMove(f"dependent set, round {state.round}")
     for v in colored:
         state.color(v)
-    drained = revealed - colored
-    for v in drained:
+    loser = None
+    for v in revealed - colored:
         state.tokens[v] -= 1
-    return min((v for v in drained if state.tokens[v] == 0), default=None)
+        if state.tokens[v] == 0 and (loser is None or v < loser):
+            loser = v
+    return loser
 
 
 def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
