@@ -47,6 +47,7 @@ class GameState:
     """Mutable per-game state; strategies must treat it as read-only."""
 
     def __init__(self, budgets: TokenBudgets):
+        self.budgets = budgets
         self.alive = set(range(len(budgets)))
         self.tokens = {v: budgets[v] for v in self.alive}
         self.round = 0  # 1-based once play starts

@@ -123,11 +123,13 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 3 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(f"bad problem line {raw!r} (line {lineno})")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], raw, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"edge before problem line (line {lineno})")
-            u, v = int(parts[1]), int(parts[2])
+            if len(parts) < 3:
+                raise ParseError(f"bad edge line {raw!r} (line {lineno})")
+            u, v = (_dimacs_int(x, raw, lineno) for x in parts[1:3])
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"edge ({u},{v}) out of range (line {lineno})")
             edges.append((u - 1, v - 1))
@@ -138,6 +140,14 @@ def parse_dimacs(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def _dimacs_int(word: str, raw: str, lineno: int) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ParseError(
+            f"bad integer {word!r} in {raw!r} (line {lineno})") from None
+
+
 def read_dimacs_file(path: str) -> Graph:
     with open(path) as fh:
         return parse_dimacs(fh.read())
@@ -146,9 +156,12 @@ def read_dimacs_file(path: str) -> Graph:
 def load_graph_file(path: str) -> Graph:
     """Dispatch on extension: .col is DIMACS, anything else graph6
     (first line of a multi-graph file)."""
-    if path.endswith(".col"):
-        return read_dimacs_file(path)
-    graphs = read_graph6_file(path)
+    try:
+        if path.endswith(".col"):
+            return read_dimacs_file(path)
+        graphs = read_graph6_file(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not text: {exc}") from None
     if not graphs:
         raise ParseError(f"no graphs in {path}")
     return graphs[0]

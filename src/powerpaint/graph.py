@@ -50,24 +50,10 @@ class Graph:
             neigh[v].add(u)
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
-        self.connected = self._check_connected()
+        self.connected = len(ball(self, [0])) == n
         if require_connected and not self.connected:
             raise GraphConstructionError("graph is not connected")
         self._dist = None
-
-    def _check_connected(self) -> bool:
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -171,6 +157,17 @@ def ball(g: Graph, sources: Iterable[int],
     return dist
 
 
+def distance_order(g: Graph, targets: Iterable[int], head=(),
+                   tail=()) -> tuple[int, ...]:
+    """``head``, then every other vertex by decreasing distance to
+    ``targets`` (ties by id), then ``tail``."""
+    d = ball(g, targets)
+    fixed = set(head) | set(tail)
+    rest = sorted((u for u in range(g.n) if u not in fixed),
+                  key=lambda u: (-d[u], u))
+    return tuple(head) + tuple(rest) + tuple(tail)
+
+
 def kth_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with edges between all pairs at
     distance 1..k in ``g``."""
@@ -243,13 +240,13 @@ def shortest_cycle(g: Graph) -> Optional[list[int]]:
     return None if gg is None else next(_cycles(g, gg))
 
 
-def enumerate_cycles(g: Graph, length: int,
-                     cap: int = DEFAULT_CYCLE_CAP) -> list[list[int]]:
+def enumerate_cycles(g: Graph, length: int) -> list[list[int]]:
     """All simple cycles of exactly ``length`` vertices, each reported
     once up to rotation/reflection, in the canonical form of
-    ``_cycles``."""
+    ``_cycles``; at most ``DEFAULT_CYCLE_CAP`` of them."""
     if length < 3:
         raise PreconditionError(f"cycle length must be >= 3, got {length}")
+    cap = DEFAULT_CYCLE_CAP
     found: list[list[int]] = []
     for c in _cycles(g, length):
         found.append(c)
@@ -280,15 +277,14 @@ class StructuralReport:
         }
 
 
-def structural_report(g: Graph, k: int,
-                      cycle_cap: int = DEFAULT_CYCLE_CAP) -> StructuralReport:
+def structural_report(g: Graph, k: int) -> StructuralReport:
     """Girth, diameter, regularity and the exhaustive list of cycles of
     length exactly 2k, with the pairwise vertex-disjointness flag."""
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
     if not g.connected:
         raise PreconditionError("structural_report requires a connected graph")
-    cycles = enumerate_cycles(g, 2 * k, cap=cycle_cap)
+    cycles = enumerate_cycles(g, 2 * k)
     seen_vertices: set[int] = set()
     disjoint = True
     for c in cycles:
@@ -446,11 +442,7 @@ def _build_frame(g: Graph, k: int, x1: int, x2: int, y1: int,
         w = before
     else:
         raise NoFrameError("both path neighbors of v collide with x2/y2")
-    head = [x1, x2, y1, y2]
-    d = ball(g, [v, w])
-    rest = [u for u in range(g.n) if u not in head and u not in (v, w)]
-    rest.sort(key=lambda u: (-d[u], u))
-    order = tuple(head + rest + [w, v])
+    order = distance_order(g, (v, w), head=(x1, x2, y1, y2), tail=(w, v))
     frame = SpecialFrame(x1=x1, x2=x2, y1=y1, y2=y2, path=tuple(path),
                          v=v, w=w, order=order)
     _check_frame(g, k, frame)

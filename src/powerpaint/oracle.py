@@ -225,8 +225,7 @@ def oracle_lister(game_graph: Graph, budgets: TokenBudgets) -> OracleLister:
 # ---------------------------------------------------------------------------
 # choosability
 
-def solve_choosability(game_graph: Graph, t: int,
-                       pool: Optional[int] = None) -> bool:
+def solve_choosability(game_graph: Graph, t: int) -> bool:
     """True iff every assignment of t-element color lists admits a
     proper coloring from the lists.
 
@@ -245,10 +244,6 @@ def solve_choosability(game_graph: Graph, t: int,
         raise CapExceededError(f"list size {t} exceeds choosability cap 4")
     if t < 1:
         raise PreconditionError("list size must be >= 1")
-    if pool is None:
-        pool = n * t
-    if pool > n * t:
-        raise CapExceededError(f"pool {pool} exceeds cap {n * t}")
     if n == 1:
         return True
 
@@ -298,8 +293,7 @@ def solve_choosability(game_graph: Graph, t: int,
         bad assignment is found."""
         if i == len(prefix):
             return not last_vertex_blocked()
-        max_new = min(t, pool - used)
-        for new in range(max_new + 1):
+        for new in range(t + 1):
             fresh = tuple(range(used, used + new))
             for old in combinations(range(used), t - new):
                 lists[i] = old + fresh

@@ -2,6 +2,10 @@
 frame and its priority rules, the distance-order greedy scan that
 powers the fallback cases, the clique strategy, and a dispatcher that
 routes a graph through the full case analysis.
+
+Every painter plays the game it is handed: conflicts are judged in the
+``game_graph`` passed to ``choose_colors`` and token counts are read
+from the ``GameState``.
 """
 
 from __future__ import annotations
@@ -16,15 +20,24 @@ from .errors import (
 from .graph import (
     CaseLabel,
     Graph,
-    SpecialFrame,
-    ball,
     bound_D,
     classify,
+    distance_order,
     find_special_frame,
+    # Unused here; perfbench's tracer patches these module attributes.
     kth_power,
     structural_report,
 )
 from .game import GameState
+
+
+def _scan(order, adj, revealed, colored, skip=()):
+    """The greedy scan: in ``order``, color each revealed vertex outside
+    ``skip`` none of whose neighbors in ``adj`` is colored this round."""
+    for u in order:
+        if u in revealed and u not in skip and colored.isdisjoint(adj[u]):
+            colored.add(u)
+    return colored
 
 
 class GreedyScanPainter:
@@ -45,12 +58,7 @@ class GreedyScanPainter:
 
     def choose_colors(self, state: GameState, game_graph: Graph,
                       revealed: set[int]) -> set[int]:
-        colored = set()
-        for u in self.order:
-            if u in revealed and u in state.alive:
-                if not any(x in colored for x in game_graph.adj[u]):
-                    colored.add(u)
-        return colored
+        return _scan(self.order, game_graph.adj, revealed, set())
 
 
 class CliquePainter:
@@ -90,9 +98,7 @@ class TheoremPainter:
 
     name = "theorem"
 
-    def __init__(self, g: Graph, k: int,
-                 frame: Optional[SpecialFrame] = None,
-                 check_slack: bool = False,
+    def __init__(self, g: Graph, k: int, check_slack: bool = False,
                  label: Optional[CaseLabel] = None):
         if label is None:
             label = classify(g, k)
@@ -101,15 +107,12 @@ class TheoremPainter:
                 f"theorem painter requires MainCase, got {label.kind}")
         self.base = g
         self.k = k
-        self.frame = (frame if frame is not None
-                      else find_special_frame(g, k, label=label))
+        self.frame = find_special_frame(g, k, label=label)
         self.M = bound_D(k, g.max_degree)
-        self.power = kth_power(g, k)
         self.check_slack = check_slack
         self.reset()
 
     def reset(self):
-        self.revealed_count = [0] * self.base.n
         self.no_v = 0
         self.no_w = 0
         self.constraint_count = [0] * self.base.n
@@ -117,12 +120,9 @@ class TheoremPainter:
 
     # -- helpers ----------------------------------------------------------
 
-    def _conflicts(self, z: int, colored: set[int]) -> bool:
-        return any(x in colored for x in self.power.adj[z])
-
-    def _live_in(self, pair, state, revealed, colored):
-        return [z for z in pair
-                if z in state.alive and z in revealed and z not in colored]
+    @staticmethod
+    def _live_in(pair, revealed, colored):
+        return [z for z in pair if z in revealed and z not in colored]
 
     # -- the strategy -----------------------------------------------------
 
@@ -130,6 +130,7 @@ class TheoremPainter:
                       revealed: set[int]) -> set[int]:
         f = self.frame
         M = self.M
+        adj = game_graph.adj
         colored: set[int] = set()
         v_in_s = f.v in revealed
         w_in_s = f.w in revealed
@@ -137,51 +138,44 @@ class TheoremPainter:
         x2y2 = (f.x2, f.y2)
 
         # (i) both ends revealed: color both (they are non-adjacent in G^k).
-        live1 = self._live_in(x1y1, state, revealed, colored)
+        live1 = self._live_in(x1y1, revealed, colored)
         if len(live1) == 2:
             colored.update(live1)
         else:
             # (ii)/(iii) steer x1/y1 onto a color missing from L(v)/L(w).
             if live1 and self.no_v == 0 and not v_in_s:
                 colored.add(live1[0])
-            live1 = self._live_in(x1y1, state, revealed, colored)
+            live1 = self._live_in(x1y1, revealed, colored)
             if live1 and self.no_w == 0 and not w_in_s:
                 colored.add(live1[0])
-            # (iv) last-chance coloring of x1/y1, counting this reveal.
-            for z in self._live_in(x1y1, state, revealed, colored):
-                if self.revealed_count[z] + 1 >= M - 2:
+            # (iv) last-chance coloring of x1/y1: budget minus tokens
+            # counts the earlier uncolored reveals, + 1 this one.
+            for z in self._live_in(x1y1, revealed, colored):
+                if state.budgets[z] - state.tokens[z] + 1 >= M - 2:
                     colored.add(z)
 
         # (v) both of x2,y2 revealed and free of same-round conflicts.
-        live2 = self._live_in(x2y2, state, revealed, colored)
+        live2 = self._live_in(x2y2, revealed, colored)
         if (len(live2) == 2
-                and not self._conflicts(f.x2, colored)
-                and not self._conflicts(f.y2, colored)):
+                and colored.isdisjoint(adj[f.x2])
+                and colored.isdisjoint(adj[f.y2])):
             colored.update(live2)
         else:
             # (vi) color x2/y2 on a color missing from L(v).
             if not v_in_s:
-                for z in self._live_in(x2y2, state, revealed, colored):
-                    if not self._conflicts(z, colored):
+                for z in self._live_in(x2y2, revealed, colored):
+                    if colored.isdisjoint(adj[z]):
                         colored.add(z)
             # (vii) last-chance coloring of x2/y2.
-            for z in self._live_in(x2y2, state, revealed, colored):
-                if (self.revealed_count[z] + 1 >= M - 4
-                        and not self._conflicts(z, colored)):
+            for z in self._live_in(x2y2, revealed, colored):
+                if (state.budgets[z] - state.tokens[z] + 1 >= M - 4
+                        and colored.isdisjoint(adj[z])):
                     colored.add(z)
 
         # Greedy scan over everything but the frame four; w then v last.
-        frame_four = set(f.frame_vertices())
-        for u in f.order:
-            if u in frame_four or u not in state.alive or u in colored:
-                continue
-            if u not in revealed:
-                continue
-            if self._conflicts(u, colored):
-                continue
-            colored.add(u)
+        _scan(f.order, adj, revealed, colored, skip=f.frame_vertices())
         if self.check_slack:
-            self._record_slack(state, revealed, colored)
+            self._record_slack(state, game_graph, revealed, colored)
 
         self._update_counters(state, revealed, colored)
         self._check_tokens(state, revealed, colored)
@@ -191,9 +185,6 @@ class TheoremPainter:
 
     def _update_counters(self, state, revealed, colored):
         f = self.frame
-        for z in revealed:
-            if z not in colored:
-                self.revealed_count[z] += 1
         hits = sum(1 for z in (f.x1, f.y1) if z in colored)
         if hits:
             self.no_v += hits - (1 if f.v in revealed else 0)
@@ -210,7 +201,7 @@ class TheoremPainter:
                     f"vertex {z} exhausts its budget uncolored in round "
                     f"{state.round}")
 
-    def _record_slack(self, state, revealed, colored):
+    def _record_slack(self, state, game_graph, revealed, colored):
         # Executable constraint-slack bound: a non-frame vertex u that
         # stays uncolored accumulates at most deg(u) - r(u) constraints,
         # where r(u) counts its game-graph neighbors later in the order.
@@ -218,19 +209,25 @@ class TheoremPainter:
         # a neighbor; later neighbors each either never constrain u or
         # share their color with the earlier neighbor that blocked u.
         pos = {u: i for i, u in enumerate(self.frame.order)}
-        frame_four = set(self.frame.frame_vertices())
+        frame_four = self.frame.frame_vertices()
         for u in revealed - colored:
             if u in frame_four:
                 continue
-            if any(x in colored for x in self.power.adj[u]):
+            if not colored.isdisjoint(game_graph.adj[u]):
                 self.constraint_count[u] += 1
-                r_u = sum(1 for x in self.power.adj[u] if pos[x] > pos[u])
-                if self.constraint_count[u] > self.power.degree(u) - r_u:
+                r_u = sum(1 for x in game_graph.adj[u] if pos[x] > pos[u])
+                if self.constraint_count[u] > game_graph.degree(u) - r_u:
                     self.slack_violations.append((state.round, u))
 
 
 def main_theorem_painter(g: Graph, k: int, **kwargs) -> TheoremPainter:
     return TheoremPainter(g, k, **kwargs)
+
+
+def _late_pair(cyc, v):
+    """v and the smaller of its two neighbors on the cycle ``cyc``."""
+    i = cyc.index(v)
+    return v, min(cyc[(i + 1) % len(cyc)], cyc[(i - 1) % len(cyc)])
 
 
 def dispatch_painter(g: Graph, k: int):
@@ -239,45 +236,23 @@ def dispatch_painter(g: Graph, k: int):
     Returns (painter, label, order) where ``order`` is the coloring
     order the painter scans (identity for the clique case).
     """
-    if k < 3:
-        raise PreconditionError(f"k must be >= 3, got {k}")
-    if g.max_degree < 3:
-        raise PreconditionError(
-            f"maximum degree must be >= 3, got {g.max_degree}")
-    if not g.connected:
-        raise PreconditionError("dispatch requires a connected graph")
     label = classify(g, k)
-
-    def order_by_distance(targets, tail):
-        d = ball(g, targets)
-        rest = [u for u in range(g.n) if u not in tail]
-        rest.sort(key=lambda u: (-d[u], u))
-        return tuple(rest + list(tail))
-
-    if label.kind == CaseLabel.NON_REGULAR:
-        v = label.low_degree_vertex
-        order = order_by_distance([v], [v])
-        return greedy_scan_painter(order), label, order
-    if label.kind == CaseLabel.SHORT_CYCLE:
-        cyc = label.short_cycle
-        v = min(cyc)
-        i = cyc.index(v)
-        w = min(cyc[(i + 1) % len(cyc)], cyc[(i - 1) % len(cyc)])
-        order = order_by_distance([v, w], [v, w])
-        return greedy_scan_painter(order), label, order
-    if label.kind == CaseLabel.INTERSECTING:
-        c1, c2 = label.intersecting_cycles
-        v = min(set(c1) & set(c2))
-        i = c1.index(v)
-        w = min(c1[(i + 1) % len(c1)], c1[(i - 1) % len(c1)])
-        order = order_by_distance([v, w], [w, v])
-        return greedy_scan_painter(order), label, order
+    if label.kind == CaseLabel.MAIN_CASE:
+        painter = main_theorem_painter(g, k, label=label)
+        return painter, label, painter.frame.order
     if label.kind == CaseLabel.SMALL_DIAMETER:
         m = bound_D(k, g.max_degree)
         if g.n > m - 1:
             raise MooreBoundViolationError(
                 f"diameter <= {k} graph with {g.n} > {m - 1} vertices")
-        order = tuple(range(g.n))
-        return clique_painter(), label, order
-    painter = main_theorem_painter(g, k, label=label)
-    return painter, label, painter.frame.order
+        return clique_painter(), label, tuple(range(g.n))
+    if label.kind == CaseLabel.NON_REGULAR:
+        targets = tail = (label.low_degree_vertex,)
+    elif label.kind == CaseLabel.SHORT_CYCLE:
+        targets = tail = _late_pair(label.short_cycle, min(label.short_cycle))
+    else:  # IntersectingTwoKCycles: v in both cycles, w last but one
+        c1, c2 = label.intersecting_cycles
+        v, w = _late_pair(c1, min(set(c1) & set(c2)))
+        targets, tail = (v, w), (w, v)
+    order = distance_order(g, targets, tail=tail)
+    return greedy_scan_painter(order), label, order

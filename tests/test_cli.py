@@ -177,3 +177,22 @@ class TestUsage:
         code, _, _ = run(capsys, "analyze", "--input", "/nonexistent.g6",
                          "--k", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("name,content", [
+        ("g.col", b"p edge x 1\n"),
+        ("g.col", b"p edge 3 1\ne 1\n"),
+        ("g.col", b"p edge 3 1\ne 1 x\n"),
+        ("g.g6", b"\xff\xfe"),
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", "--input", str(path),
+                             "--k", "3")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
+class TestSelftest:
+    def test_quick_pass_succeeds(self, capsys):
+        assert main(["selftest"]) == 0

@@ -11,6 +11,7 @@ from powerpaint.gen_io import (
     complete,
     cycle,
     heawood,
+    load_graph_file,
     mcgee,
     named_graph,
     parse_dimacs,
@@ -138,6 +139,22 @@ class TestDimacs:
     def test_rejects_out_of_range(self):
         with pytest.raises(ParseError):
             parse_dimacs("p edge 2 1\ne 1 5\n")
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("c header next\np edge x 1\n", 2),
+        ("p edge 3 1\ne 1\n", 2),
+        ("p edge 3 1\ne 1 x\n", 2),
+    ])
+    def test_malformed_lines_name_the_line(self, text, lineno):
+        with pytest.raises(ParseError, match=f"line {lineno}"):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize("name", ["g.g6", "g.col"])
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, name):
+        target = tmp_path / name
+        target.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError):
+            load_graph_file(str(target))
 
 
 class TestNamedGraphs:

@@ -2,7 +2,8 @@ import pytest
 
 import networkx as nx
 
-from powerpaint.errors import NoFrameError, PreconditionError
+from powerpaint import graph
+from powerpaint.errors import CycleCapError, NoFrameError, PreconditionError
 from powerpaint.gen_io import (
     complete,
     cycle,
@@ -18,6 +19,7 @@ from powerpaint.graph import (
     ball,
     bound_D,
     classify,
+    distance_order,
     enumerate_cycles,
     find_special_frame,
     girth,
@@ -196,6 +198,12 @@ class TestStructuralReport:
                 for c in ours:
                     assert len(set(c)) == length
 
+    def test_cycle_cap(self, monkeypatch):
+        assert len(enumerate_cycles(complete(6), 3)) == 20
+        monkeypatch.setattr(graph, "DEFAULT_CYCLE_CAP", 5)
+        with pytest.raises(CycleCapError):
+            enumerate_cycles(complete(6), 3)
+
     def test_shortest_cycle_witness(self):
         c = shortest_cycle(petersen())
         assert len(c) == 5
@@ -262,6 +270,14 @@ class TestSpecialFrame:
         mids = f.order[4:-2]
         dists = [min(d(u, f.v), d(u, f.w)) for u in mids]
         assert dists == sorted(dists, reverse=True)
+
+    def test_distance_order(self):
+        # path 0-1-2-3-4-5: distances to {2} are 2,1,0,1,2,3.
+        g = path(6)
+        assert distance_order(g, [2]) == (5, 0, 4, 1, 3, 2)
+        assert distance_order(g, [2], head=(4,), tail=(2, 1)) == \
+            (4, 5, 0, 3, 2, 1)
+        assert distance_order(g, [0, 5], tail=(0,)) == (2, 3, 1, 4, 5, 0)
 
     def test_precondition_failures(self):
         with pytest.raises(PreconditionError):

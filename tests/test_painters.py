@@ -1,5 +1,6 @@
 import pytest
 
+from powerpaint import graph, painters
 from powerpaint.errors import PreconditionError, StrategyInvariantViolation
 from powerpaint.game import (
     GameState,
@@ -89,7 +90,7 @@ class TestTheoremPainter:
     def test_beats_random_listers_on_mcgee(self):
         g = mcgee()
         painter = TheoremPainter(g, 3, check_slack=True)
-        game_graph = painter.power
+        game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
         for seed in range(200):
             t = play_game(game_graph, budgets, random_lister(seed), painter)
@@ -100,25 +101,28 @@ class TestTheoremPainter:
     def test_beats_pressure_lister_on_mcgee(self):
         g = mcgee()
         painter = main_theorem_painter(g, 3)
+        game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-        t = play_game(painter.power, budgets, pressure_lister(), painter)
+        t = play_game(game_graph, budgets, pressure_lister(), painter)
         assert t.winner == "painter"
 
     def test_no_counters_stay_in_range(self):
         g = mcgee()
         painter = main_theorem_painter(g, 3)
+        game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
         for seed in range(50):
-            play_game(painter.power, budgets, random_lister(seed), painter)
+            play_game(game_graph, budgets, random_lister(seed), painter)
             assert 0 <= painter.no_v <= 2
             assert 0 <= painter.no_w <= 2
 
     def test_deterministic_transcripts(self):
         g = mcgee()
         painter = main_theorem_painter(g, 3)
+        game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-        t1 = play_game(painter.power, budgets, random_lister(11), painter)
-        t2 = play_game(painter.power, budgets, random_lister(11), painter)
+        t1 = play_game(game_graph, budgets, random_lister(11), painter)
+        t2 = play_game(game_graph, budgets, random_lister(11), painter)
         assert t1.to_json() == t2.to_json()
 
     def test_invariant_violation_on_starved_budget(self):
@@ -127,11 +131,12 @@ class TestTheoremPainter:
         # silently.
         g = mcgee()
         painter = main_theorem_painter(g, 3)
+        game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, 3)
         raised = False
         for seed in range(20):
             try:
-                play_game(painter.power, budgets, pressure_lister(), painter)
+                play_game(game_graph, budgets, pressure_lister(), painter)
             except StrategyInvariantViolation:
                 raised = True
                 break
@@ -140,10 +145,11 @@ class TestTheoremPainter:
     def test_frame_vertices_colored_before_exhaustion(self):
         g = mcgee()
         painter = main_theorem_painter(g, 3)
+        game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
         f = painter.frame
         for seed in range(100):
-            t = play_game(painter.power, budgets, random_lister(seed), painter)
+            t = play_game(game_graph, budgets, random_lister(seed), painter)
             colored_round = {}
             revealed_uncolored = {z: 0 for z in f.frame_vertices()}
             for r in t.rounds:
@@ -191,6 +197,19 @@ class TestDispatch:
         assert label.kind == CaseLabel.MAIN_CASE
         assert isinstance(painter, TheoremPainter)
         assert order == painter.frame.order
+
+    def test_builds_no_power_graph(self, monkeypatch):
+        # The painter judges conflicts in the game graph it is handed.
+        calls = []
+
+        def counting(g, k):
+            calls.append(k)
+            return kth_power(g, k)
+
+        monkeypatch.setattr(graph, "kth_power", counting)
+        monkeypatch.setattr(painters, "kth_power", counting)
+        dispatch_painter(mcgee(), 3)
+        assert calls == []
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(PreconditionError):
