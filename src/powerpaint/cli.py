@@ -80,19 +80,23 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_power(args) -> int:
-    g = _load_graph(args)
-    gk = kth_power(g, args.k)
-    line = gen_io.write_graph6(gk)
-    if args.output:
-        with open(args.output, "w") as fh:
+def _write_graph(g: Graph, output) -> int:
+    line = gen_io.write_graph6(g)
+    if output:
+        with open(output, "w") as fh:
             fh.write(line + "\n")
     else:
         print(line)
     return 0
 
 
+def cmd_power(args) -> int:
+    return _write_graph(kth_power(_load_graph(args), args.k), args.output)
+
+
 def cmd_play(args) -> int:
+    if args.games < 1:
+        raise PowerPaintError(f"--games must be at least 1, got {args.games}")
     g = _load_graph(args)
     k = args.k
     game_graph = kth_power(g, k)
@@ -140,14 +144,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    g = _load_graph(args)
-    line = gen_io.write_graph6(g)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(line + "\n")
-    else:
-        print(line)
-    return 0
+    return _write_graph(_load_graph(args), args.output)
 
 
 def cmd_selftest(args) -> int:

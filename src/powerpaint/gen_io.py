@@ -97,17 +97,6 @@ def write_graph6(g: Graph) -> str:
     return bytes(header + body).decode("ascii")
 
 
-def read_graph6_file(path: str) -> list[Graph]:
-    """Newline-separated multi-graph file."""
-    graphs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
-    return graphs
-
-
 # ---------------------------------------------------------------------------
 # DIMACS .col (read-only)
 
@@ -148,23 +137,20 @@ def _dimacs_int(word: str, raw: str, lineno: int) -> int:
             f"bad integer {word!r} in {raw!r} (line {lineno})") from None
 
 
-def read_dimacs_file(path: str) -> Graph:
-    with open(path) as fh:
-        return parse_dimacs(fh.read())
-
-
 def load_graph_file(path: str) -> Graph:
-    """Dispatch on extension: .col is DIMACS, anything else graph6
-    (first line of a multi-graph file)."""
+    """Dispatch on extension: .col is DIMACS, anything else graph6, of
+    which only the first non-empty line is read."""
     try:
         if path.endswith(".col"):
-            return read_dimacs_file(path)
-        graphs = read_graph6_file(path)
+            with open(path) as fh:
+                return parse_dimacs(fh.read())
+        with open(path, "rb") as fh:
+            for line in fh:
+                if line.strip():
+                    return parse_graph6(line.decode())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not text: {exc}") from None
-    if not graphs:
-        raise ParseError(f"no graphs in {path}")
-    return graphs[0]
+    raise ParseError(f"no graphs in {path}")
 
 
 # ---------------------------------------------------------------------------

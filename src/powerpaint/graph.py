@@ -30,14 +30,12 @@ class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
     Adjacency is stored as sorted tuples. Construction validates
-    simplicity and symmetry; connectivity is recorded in ``connected``
-    and can be required via ``require_connected``.
+    simplicity and symmetry; connectivity is recorded in ``connected``.
     """
 
     __slots__ = ("n", "adj", "connected", "_dist")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]],
-                 require_connected: bool = False):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphConstructionError("graph needs at least one vertex")
         neigh = [set() for _ in range(n)]
@@ -51,8 +49,6 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
         self.connected = len(ball(self, [0])) == n
-        if require_connected and not self.connected:
-            raise GraphConstructionError("graph is not connected")
         self._dist = None
 
     def degree(self, v: int) -> int:

@@ -23,23 +23,20 @@ DEFAULT_VERTEX_CAP = 12
 DEFAULT_TOKEN_CAP = 128
 
 
-def _caps(vertex_cap, token_cap):
+def _caps():
+    vertex_cap, token_cap = DEFAULT_VERTEX_CAP, DEFAULT_TOKEN_CAP
     env = os.environ.get("POWERPAINT_CAPS")
     if env:
         parts = env.split(",")
         try:
-            if vertex_cap is None and parts[0].strip():
+            if parts[0].strip():
                 vertex_cap = int(parts[0])
-            if token_cap is None and len(parts) >= 2 and parts[1].strip():
+            if len(parts) >= 2 and parts[1].strip():
                 token_cap = int(parts[1])
         except ValueError:
             raise PreconditionError(
                 f"POWERPAINT_CAPS must be 'vertices,total_tokens', "
                 f"got {env!r}") from None
-    if vertex_cap is None:
-        vertex_cap = DEFAULT_VERTEX_CAP
-    if token_cap is None:
-        token_cap = DEFAULT_TOKEN_CAP
     return vertex_cap, token_cap
 
 
@@ -72,14 +69,15 @@ class PaintabilitySolver:
     States are (alive set, token vector); the memo key relabels alive
     vertices in ascending id so that states equal up to deleting
     colored vertices coincide. Clique states short-circuit through the
-    sorted-token criterion.
+    sorted-token criterion. The painter only ever colors a maximal
+    independent subset of the reveal. Coloring a superset J of I leaves
+    the successor of I minus the vertices of J not in I, with the same
+    tokens on every vertex left, and a painter who wins on a graph wins
+    on each of its induced subgraphs (Zhu 2009).
     """
 
-    def __init__(self, game_graph: Graph, budgets: TokenBudgets,
-                 vertex_cap: Optional[int] = None,
-                 token_cap: Optional[int] = None,
-                 use_memo: bool = True):
-        vertex_cap, token_cap = _caps(vertex_cap, token_cap)
+    def __init__(self, game_graph: Graph, budgets: TokenBudgets):
+        vertex_cap, token_cap = _caps()
         if game_graph.n > vertex_cap:
             raise CapExceededError(
                 f"{game_graph.n} vertices exceeds cap {vertex_cap}")
@@ -93,7 +91,6 @@ class PaintabilitySolver:
             for v in game_graph.adj[u]:
                 self.adj_masks[u] |= 1 << v
         self.budgets = budgets
-        self.use_memo = use_memo
         self.memo = {}
 
     def solve(self) -> str:
@@ -139,64 +136,51 @@ class PaintabilitySolver:
         if _is_clique(self.adj_masks, alive, self.n):
             return _clique_painter_wins(
                 tuple(tokens[v] for v in range(self.n) if alive >> v & 1))
-        key = self._key(alive, tokens) if self.use_memo else None
-        if key is not None and key in self.memo:
-            return self.memo[key]
-        result = all(self._painter_survives(alive, tokens, reveal)
-                     for reveal in self._reveals(alive))
-        if key is not None:
-            self.memo[key] = result
-        return result
+        key = self._key(alive, tokens)
+        if key not in self.memo:
+            self.memo[key] = all(self._painter_survives(alive, tokens, reveal)
+                                 for reveal in self._reveals(alive))
+        return self.memo[key]
 
     def _painter_survives(self, alive: int, tokens: tuple[int, ...],
                           reveal: int) -> bool:
-        """True if some independent subset of the reveal leads the
-        painter to a winning successor."""
-        subsets = sorted(self._independent_subsets(reveal),
-                         key=lambda m: -bin(m).count("1"))
-        for indep in subsets:
-            new_alive = alive & ~indep
-            drained = reveal & ~indep
+        """True if some maximal independent subset of the reveal leads
+        the painter to a winning successor."""
+        vs = [v for v in range(self.n) if reveal >> v & 1]
+        for colored in self._replies(vs):
             new_tokens = list(tokens)
-            dead = False
-            mask = drained
-            while mask:
-                v = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                new_tokens[v] -= 1
-                if new_tokens[v] == 0:
-                    dead = True
-                    break
-            if dead:
-                continue
-            if self._painter_wins(new_alive, tuple(new_tokens)):
-                return True
+            for v in vs:
+                if not colored >> v & 1:
+                    if new_tokens[v] == 1:
+                        break
+                    new_tokens[v] -= 1
+            else:
+                if self._painter_wins(alive & ~colored, tuple(new_tokens)):
+                    return True
         return False
 
-    def _independent_subsets(self, reveal: int):
-        """All subsets of the reveal mask that are independent in the
-        game graph, including the empty set."""
-        vs = [v for v in range(self.n) if reveal >> v & 1]
+    def _replies(self, vs: list[int]):
+        """The maximal independent subsets of the revealed vertices
+        ``vs``, as masks, each generated once and only when asked for."""
+        adj = self.adj_masks
+        reveal = sum(1 << v for v in vs)
 
-        def rec(i: int, acc: int):
+        def rec(i: int, chosen: int, blocked: int):
             if i == len(vs):
-                yield acc
+                if not reveal & ~(chosen | blocked):
+                    yield chosen
                 return
             v = vs[i]
-            yield from rec(i + 1, acc)
-            if not (acc & self.adj_masks[v]):
-                yield from rec(i + 1, acc | 1 << v)
+            if not blocked >> v & 1:
+                yield from rec(i + 1, chosen | 1 << v, blocked | adj[v])
+            yield from rec(i + 1, chosen, blocked)
 
-        yield from rec(0, 0)
+        yield from rec(0, 0, 0)
 
 
-def solve_paintability(game_graph: Graph, budgets: TokenBudgets,
-                       vertex_cap: Optional[int] = None,
-                       token_cap: Optional[int] = None,
-                       use_memo: bool = True) -> str:
+def solve_paintability(game_graph: Graph, budgets: TokenBudgets) -> str:
     """Winner of the game under optimal play: "painter" or "lister"."""
-    return PaintabilitySolver(game_graph, budgets, vertex_cap=vertex_cap,
-                              token_cap=token_cap, use_memo=use_memo).solve()
+    return PaintabilitySolver(game_graph, budgets).solve()
 
 
 class OracleLister:

@@ -108,6 +108,7 @@ class TheoremPainter:
         self.base = g
         self.k = k
         self.frame = find_special_frame(g, k, label=label)
+        self._pos = {u: i for i, u in enumerate(self.frame.order)}
         self.M = bound_D(k, g.max_degree)
         self.check_slack = check_slack
         self.reset()
@@ -208,7 +209,7 @@ class TheoremPainter:
         # A constraint is a round whose color was in L(u) and landed on
         # a neighbor; later neighbors each either never constrain u or
         # share their color with the earlier neighbor that blocked u.
-        pos = {u: i for i, u in enumerate(self.frame.order)}
+        pos = self._pos
         frame_four = self.frame.frame_vertices()
         for u in revealed - colored:
             if u in frame_four:

@@ -132,6 +132,13 @@ class TestPlay:
         assert code == 1, err
         assert json.loads(out)["lister_wins"] == 1
 
+    @pytest.mark.parametrize("games", ["0", "-1"])
+    def test_nonpositive_games_exits_2(self, capsys, games):
+        code, out, err = run(capsys, "play", "--family", "mcgee", "--k", "3",
+                             "--seed", "1", "--games", games)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestVerify:
     def test_c5_budget_2_lister(self, capsys):

@@ -157,6 +157,23 @@ class TestDimacs:
             load_graph_file(str(target))
 
 
+class TestLoadGraphFile:
+    @pytest.mark.parametrize("content", [b"Bw\nbad line\n",
+                                         b"\n  \nBw\n\xff\xfe\n"])
+    def test_reads_only_the_first_graph6_line(self, tmp_path, content):
+        target = tmp_path / "g.g6"
+        target.write_bytes(content)
+        assert load_graph_file(str(target)).edges() == [(0, 1), (0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("content", [b"", b"\n \n", b"bad line\nBw\n"])
+    def test_no_graph_on_the_first_line_is_a_parse_error(self, tmp_path,
+                                                         content):
+        target = tmp_path / "g.g6"
+        target.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_graph_file(str(target))
+
+
 class TestNamedGraphs:
     @pytest.mark.parametrize("builder,n,deg,g,diam", [
         (petersen, 10, 3, 5, 2),

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -62,8 +63,34 @@ class TestPaintability:
                             (0, 3)])]
         for g in graphs:
             for t in (1, 2, 3):
-                assert (solve_paintability(g, uni(g.n, t), use_memo=True)
-                        == solve_paintability(g, uni(g.n, t), use_memo=False))
+                expected = PAINTER if _raw_minimax(g, [t] * g.n) else LISTER
+                assert solve_paintability(g, uni(g.n, t)) == expected, (g, t)
+
+    def test_random_sweep_matches_raw_minimax(self):
+        rng = random.Random(7)
+        for i in range(90):
+            n = rng.randint(2, 6)
+            p = (0.3, 0.5, 0.7)[i % 3]
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            f = [rng.randint(1, 3) for _ in range(n)]
+            expected = PAINTER if _raw_minimax(g, f) else LISTER
+            assert solve_paintability(g, TokenBudgets(f)) == expected, (
+                g.edges(), f)
+
+    def test_replies_are_the_maximal_independent_sets(self):
+        solver = PaintabilitySolver(path(6), uni(6, 2))
+
+        def as_sets(vs):
+            replies = list(solver._replies(vs))
+            assert len(replies) == len(set(replies))
+            return {frozenset(v for v in vs if m >> v & 1) for m in replies}
+
+        assert as_sets([0, 1, 2, 3, 4]) == {
+            frozenset(s) for s in ([0, 2, 4], [0, 3], [1, 3], [1, 4])}
+        assert as_sets([1, 2, 3, 5]) == {
+            frozenset(s) for s in ([1, 3, 5], [2, 5])}
+        assert as_sets([4]) == {frozenset([4])}
 
     def test_vertex_cap(self):
         g = cycle(13)

@@ -97,6 +97,7 @@ class TestTheoremPainter:
             assert t.winner == "painter"
             assert validate_transcript(game_graph, budgets, t) is None
             assert painter.slack_violations == []
+            assert sum(painter.constraint_count) > 0
 
     def test_beats_pressure_lister_on_mcgee(self):
         g = mcgee()
