@@ -1,6 +1,7 @@
 """Ground truth at desk scale: exact paintability by memoized game-tree
-search (with a closed-form fast path for clique states), brute-force
-choosability, and a greedy coloring baseline.
+search (with degree peeling and a closed-form fast path for clique
+states), brute-force choosability on the peeled core, and a greedy
+coloring baseline.
 
 Caps may be overridden with the POWERPAINT_CAPS environment variable,
 formatted "vertices,total_tokens" (e.g. "14,160").
@@ -12,7 +13,7 @@ import os
 from itertools import combinations
 from typing import Optional
 
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError, PowerPaintError, PreconditionError
 from .game import GameState, TokenBudgets
 from .graph import Graph
 
@@ -74,9 +75,21 @@ class PaintabilitySolver:
     the successor of I minus the vertices of J not in I, with the same
     tokens on every vertex left, and a painter who wins on a graph wins
     on each of its induced subgraphs (Zhu 2009).
+
+    Every state is peeled first: an alive vertex v with more tokens
+    than alive neighbours is deleted, repeatedly. The verdict is
+    unchanged. Deleting v cannot turn a painter win into a loss (again
+    induced subgraphs). Conversely, the painter follows a winning
+    strategy on the rest and adds v to its reply whenever v is revealed
+    and no neighbour of v is colored that round. Each round that reveals
+    v and leaves it uncolored colors one of its neighbours, and each
+    neighbour is colored once, so v loses at most deg(v) < tokens[v]
+    tokens (Schauz 2009; Zhu 2009).
     """
 
     def __init__(self, game_graph: Graph, budgets: TokenBudgets):
+        if len(budgets) != game_graph.n:
+            raise PowerPaintError("budget length does not match vertex count")
         vertex_cap, token_cap = _caps()
         if game_graph.n > vertex_cap:
             raise CapExceededError(
@@ -130,7 +143,20 @@ class PaintabilitySolver:
             sub = (sub - 1) & alive
         # empty set excluded: lister must reveal something
 
+    def _peel(self, alive: int, tokens: tuple[int, ...]) -> int:
+        """The alive mask left once every vertex with more tokens than
+        alive neighbours is deleted, repeatedly."""
+        adj = self.adj_masks
+        while True:
+            before = alive
+            for v in range(self.n):
+                if alive >> v & 1 and tokens[v] > (adj[v] & alive).bit_count():
+                    alive ^= 1 << v
+            if alive == before:
+                return alive
+
     def _painter_wins(self, alive: int, tokens: tuple[int, ...]) -> bool:
+        alive = self._peel(alive, tokens)
         if alive == 0:
             return True
         if _is_clique(self.adj_masks, alive, self.n):
@@ -220,6 +246,11 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
     an assignment of the first n-1 lists extends to a bad one iff at
     least t colors appear on the last vertex's neighborhood under every
     proper coloring of the prefix.
+
+    The caps apply to the input graph, which is first peeled: a vertex
+    with fewer than t kept neighbours is deleted, repeatedly, since
+    coloring the rest and then such vertices last, greedily, always
+    finds a free color in a t-list. The enumeration runs on the core.
     """
     n = game_graph.n
     if n > 8:
@@ -228,8 +259,17 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
         raise CapExceededError(f"list size {t} exceeds choosability cap 4")
     if t < 1:
         raise PreconditionError("list size must be >= 1")
-    if n == 1:
+    keep = set(range(n))
+    while low := {v for v in keep
+                  if len(keep.intersection(game_graph.adj[v])) < t}:
+        keep -= low
+    if len(keep) <= 1:
         return True
+    core = sorted(keep)
+    index = {v: i for i, v in enumerate(core)}
+    game_graph = Graph(len(core), [(index[u], index[v]) for u in core
+                                   for v in game_graph.adj[u] if v in index])
+    n = len(core)
 
     # Put the highest-degree vertex last: its list choice is the one
     # eliminated analytically, and prefix vertices keep graph edges early.

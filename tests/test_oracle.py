@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from powerpaint.errors import CapExceededError
+from powerpaint.errors import CapExceededError, PowerPaintError
 from powerpaint.game import TokenBudgets
 from powerpaint.gen_io import complete, cycle, path, petersen, prism
 from powerpaint.graph import Graph, kth_power
@@ -112,6 +112,61 @@ class TestPaintability:
         assert solver.winning_reveal(set(range(4)),
                                      {v: 2 for v in range(4)}) is None
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_budget_length_must_match(self, n):
+        with pytest.raises(PowerPaintError,
+                           match="budget length does not match vertex count"):
+            solve_paintability(cycle(5), uni(n, 2))
+
+
+class TestPeeling:
+    @pytest.mark.parametrize("g, t", [(cycle(12), 3), (cycle(9), 3),
+                                      (path(8), 2)])
+    def test_peelable_roots_need_no_search(self, g, t):
+        solver = PaintabilitySolver(g, uni(g.n, t))
+        assert solver.solve() == PAINTER
+        assert len(solver.memo) == 0
+
+    def test_budgets_near_degree_match_raw_minimax(self):
+        # budgets deg-1, deg, deg+1 put vertices on both sides of the
+        # peeling threshold; every lister win's reveal is checked too
+        rng = random.Random(11)
+        wins = {PAINTER: 0, LISTER: 0}
+        for i in range(400):
+            n = rng.randint(2, 6)
+            p = (0.3, 0.5, 0.7)[i % 3]
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            f = [max(1, g.degree(v) + rng.choice((-1, 0, 1)))
+                 for v in range(n)]
+            expected = PAINTER if _raw_minimax(g, f) else LISTER
+            solver = PaintabilitySolver(g, TokenBudgets(f))
+            assert solver.solve() == expected, (g.edges(), f)
+            wins[expected] += 1
+            if expected == LISTER:
+                reveal = solver.winning_reveal(set(range(n)), f)
+                assert _reveal_wins(g, f, reveal), (g.edges(), f, reveal)
+        assert min(wins.values()) >= 100, wins
+
+
+def _reveal_wins(g, tokens, reveal):
+    """True if every independent subset of the reveal drains a vertex
+    to zero or leaves a state that ``_raw_minimax`` scores as a lister
+    win."""
+    reveal = sorted(reveal)
+    for m in range(2 ** len(reveal)):
+        colored = {v for i, v in enumerate(reveal) if m >> i & 1}
+        if any(u in g.adj[v] for u in colored for v in colored):
+            continue
+        drained = [v for v in reveal if v not in colored]
+        if any(tokens[v] == 1 for v in drained):
+            continue
+        left = [t - (v in drained) for v, t in enumerate(tokens)]
+        alive = [v for v in range(g.n) if v not in colored]
+        if _raw_minimax(g, left, alive):
+            return False
+    return True
+
 
 class TestCliqueFastPath:
     def test_formula_matches_general_search(self):
@@ -128,9 +183,10 @@ class TestCliqueFastPath:
         assert solve_paintability(k10, uni(10, 10)) == PAINTER
 
 
-def _raw_minimax(g, tokens):
-    """Reference solver with no clique shortcut and no state
-    abstraction (memo keys are exact states, not canonical forms)."""
+def _raw_minimax(g, tokens, alive=None):
+    """Reference solver with no clique shortcut, no peeling and no
+    state abstraction (memo keys are exact states, not canonical
+    forms). ``alive`` defaults to every vertex."""
     adj = g.adj
     memo = {}
 
@@ -152,7 +208,10 @@ def _raw_minimax(g, tokens):
         for r in range(1, 2 ** len(alive)):
             reveal = [v for i, v in enumerate(alive) if r >> i & 1]
             survives = False
-            for m in range(2 ** len(reveal)):
+            # every reply is tried, the largest first, so painter wins
+            # are found without draining through the small replies
+            for m in sorted(range(2 ** len(reveal)),
+                            key=lambda m: -bin(m).count("1")):
                 indep = tuple(v for i, v in enumerate(reveal) if m >> i & 1)
                 if not independent(indep):
                     continue
@@ -175,8 +234,8 @@ def _raw_minimax(g, tokens):
                 return False
         return True
 
-    return painter_wins(tuple(range(g.n)),
-                        {v: tokens[v] for v in range(g.n)})
+    alive = tuple(range(g.n)) if alive is None else tuple(alive)
+    return painter_wins(alive, {v: tokens[v] for v in alive})
 
 
 class TestChoosability:
@@ -212,9 +271,21 @@ class TestChoosability:
                 if solve_paintability(g, uni(g.n, t)) == PAINTER:
                     assert solve_choosability(g, t), (g, t)
 
+    @pytest.mark.parametrize("edges, t, verdict", [
+        ([(i, (i + 1) % 5) for i in range(5)], 2, False),
+        ([(i, j) for i in range(2) for j in range(2, 6)], 2, False),
+        ([(i, j) for i in range(2) for j in range(2, 6)], 3, True),
+    ])
+    def test_pendant_vertex_keeps_verdict(self, edges, t, verdict):
+        n = max(max(e) for e in edges) + 1
+        assert solve_choosability(Graph(n, edges), t) == verdict
+        assert solve_choosability(Graph(n + 1, edges + [(0, n)]), t) == verdict
+
     def test_caps(self):
         with pytest.raises(CapExceededError):
             solve_choosability(cycle(9), 2)
+        with pytest.raises(CapExceededError):
+            solve_choosability(cycle(9), 3)  # every vertex would peel
         with pytest.raises(CapExceededError):
             solve_choosability(cycle(4), 5)
 
