@@ -30,6 +30,8 @@ def _caps():
     if env:
         parts = env.split(",")
         try:
+            if len(parts) > 2:
+                raise ValueError(env)
             if parts[0].strip():
                 vertex_cap = int(parts[0])
             if len(parts) >= 2 and parts[1].strip():
@@ -67,14 +69,14 @@ def _is_clique(adj_masks: list[int], alive_mask: int, n: int) -> bool:
 class PaintabilitySolver:
     """Exact minimax for the online list-coloring game.
 
-    States are (alive set, token vector); the memo key relabels alive
-    vertices in ascending id so that states equal up to deleting
-    colored vertices coincide. Clique states short-circuit through the
-    sorted-token criterion. The painter only ever colors a maximal
-    independent subset of the reveal. Coloring a superset J of I leaves
-    the successor of I minus the vertices of J not in I, with the same
-    tokens on every vertex left, and a painter who wins on a graph wins
-    on each of its induced subgraphs (Zhu 2009).
+    States are (alive set, token vector). The memo key is the peeled
+    state itself: the alive mask and the tokens on alive vertices.
+    Clique states short-circuit through the sorted-token criterion. The
+    painter only ever colors a maximal independent subset of the reveal.
+    Coloring a superset J of I leaves the successor of I minus the
+    vertices of J not in I, with the same tokens on every vertex left,
+    and a painter who wins on a graph wins on each of its induced
+    subgraphs (Zhu 2009).
 
     Every state is peeled first: an alive vertex v with more tokens
     than alive neighbours is deleted, repeatedly. The verdict is
@@ -97,7 +99,6 @@ class PaintabilitySolver:
         if budgets.total() > token_cap:
             raise CapExceededError(
                 f"total budget {budgets.total()} exceeds cap {token_cap}")
-        self.g = game_graph
         self.n = game_graph.n
         self.adj_masks = [0] * self.n
         for u in range(self.n):
@@ -128,14 +129,6 @@ class PaintabilitySolver:
 
     # -- internals ---------------------------------------------------------
 
-    def _key(self, alive: int, tokens: tuple[int, ...]):
-        vs = [v for v in range(self.n) if alive >> v & 1]
-        index = {v: i for i, v in enumerate(vs)}
-        edges = frozenset(
-            (index[u], index[v]) for u in vs for v in self.g.adj[u]
-            if alive >> v & 1 and u < v)
-        return (tuple(tokens[v] for v in vs), edges)
-
     def _reveals(self, alive: int):
         sub = alive
         while sub:
@@ -159,10 +152,11 @@ class PaintabilitySolver:
         alive = self._peel(alive, tokens)
         if alive == 0:
             return True
+        alive_tokens = tuple(tokens[v] for v in range(self.n)
+                             if alive >> v & 1)
         if _is_clique(self.adj_masks, alive, self.n):
-            return _clique_painter_wins(
-                tuple(tokens[v] for v in range(self.n) if alive >> v & 1))
-        key = self._key(alive, tokens)
+            return _clique_painter_wins(alive_tokens)
+        key = (alive, alive_tokens)
         if key not in self.memo:
             self.memo[key] = all(self._painter_survives(alive, tokens, reveal)
                                  for reveal in self._reveals(alive))

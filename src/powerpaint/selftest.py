@@ -1,127 +1,231 @@
-"""Built-in check suite behind the `selftest` CLI command.
+"""The paper's acceptance criteria as one table of checks.
 
-Runs a condensed version of the acceptance checks; --full raises the
-game counts to the levels used by the pytest acceptance module.
+Each row of ``CHECKS`` is one criterion: its name, the wall-time bound
+it must meet, and ``check(full)``, which raises AssertionError on the
+first failed condition and otherwise returns a one-line summary. With
+``full`` a row plays the acceptance counts; quick mode plays a prefix of
+the same sequence. ``powerpaint selftest [--full]`` runs the table
+through ``run_selftest``, and ``tests/test_acceptance.py`` runs each row
+as one pytest test with ``full=True``.
 """
 
 from __future__ import annotations
 
+import random
 import sys
+import time
+import traceback
+from typing import Callable, NamedTuple
 
-from . import gen_io
-from .game import TokenBudgets, play_game, random_lister, pressure_lister, \
-    validate_transcript
-from .graph import bound_D, kth_power
-from .oracle import PAINTER, LISTER, solve_paintability
-from .painters import dispatch_painter
+from .game import (TokenBudgets, play_game, pressure_lister, random_lister,
+                   validate_transcript)
+from .gen_io import (complete, cycle, heawood, mcgee, parse_graph6, path,
+                     petersen, prism, random_regular, write_graph6)
+from .graph import Graph, bound_D, kth_power
+from .oracle import (LISTER, PAINTER, oracle_lister, solve_choosability,
+                     solve_paintability)
+from .painters import CaseLabel, clique_painter, dispatch_painter
+
+uni = TokenBudgets.uniform
 
 
-def _play_all(g, k, lister_name, games, seed0):
-    game_graph = kth_power(g, k)
-    budget = bound_D(k, g.max_degree) - 1
-    budgets = TokenBudgets.uniform(g.n, budget)
-    painter, _, _ = dispatch_painter(g, k)
-    losses = 0
-    for i in range(games):
-        if lister_name == "random":
-            lister = random_lister(seed0 + i)
-        else:
-            lister = pressure_lister()
+class Check(NamedTuple):
+    name: str
+    bound_s: float
+    check: Callable[[bool], str]
+
+
+def require(ok: bool, what: str) -> None:
+    """Fail the running check. An explicit raise, so ``python -O``
+    cannot turn it off."""
+    if not ok:
+        raise AssertionError(what)
+
+
+def _painter_wins_all(game_graph, budgets, painter, listers, what):
+    """Play one game per lister; each transcript must validate and end
+    in a painter win."""
+    for lister in listers:
         t = play_game(game_graph, budgets, lister, painter)
-        if validate_transcript(game_graph, budgets, t) is not None:
-            losses += 1
-        elif t.winner != "painter":
-            losses += 1
-    return losses
+        bad = validate_transcript(game_graph, budgets, t)
+        require(bad is None, f"{what}: invalid transcript: {bad}")
+        require(t.winner == "painter", f"{what}: the {lister.name} lister "
+                f"won (seed {getattr(lister, 'seed', None)})")
+
+
+def criterion_1_bound_formula(full: bool) -> str:
+    for delta in (3, 4, 5):
+        require(bound_D(2, delta) == delta ** 2, f"D(2,{delta})")
+    require(bound_D(3, 3) == 21, "D(3,3)")
+    return "D(2,3..5)=9,16,25 and D(3,3)=21"
+
+
+def criterion_2_moore_sharpness(full: bool) -> str:
+    k10 = kth_power(petersen(), 2)
+    require(k10 == complete(10), "Petersen^2 is not K10")
+    require(solve_paintability(k10, uni(10, 9)) == LISTER, "K10 at 9")
+    require(solve_paintability(k10, uni(10, 10)) == PAINTER, "K10 at 10")
+    return "Petersen^2=K10, lister@9 / painter@10"
+
+
+def criterion_3_oracle_ground_truth(full: bool) -> str:
+    cases = [(f"K{n}", complete(n), t, PAINTER if t == n else LISTER)
+             for n in (2, 3, 4) for t in (n, n - 1)]
+    cases += [("C4", cycle(4), 2, PAINTER), ("C6", cycle(6), 2, PAINTER),
+              ("C5", cycle(5), 2, LISTER), ("C5", cycle(5), 3, PAINTER),
+              ("P3", path(3), 2, PAINTER)]
+    for name, g, t, winner in cases:
+        require(solve_paintability(g, uni(g.n, t)) == winner,
+                f"{name} at {t} tokens is not a {winner} win")
+    return "K2..K4 thresholds, C4/C5/C6, P3"
+
+
+def _named_small_graphs() -> dict[str, Graph]:
+    """Connected graphs on <= 6 vertices used for the choosability sweep."""
+    return {
+        "K2": complete(2), "K3": complete(3), "K4": complete(4),
+        "K5": complete(5), "K6": complete(6),
+        "C3": cycle(3), "C4": cycle(4), "C5": cycle(5), "C6": cycle(6),
+        "P2": path(2), "P3": path(3), "P4": path(4), "P5": path(5),
+        "P6": path(6),
+        "star_K1_3": Graph(4, [(0, 1), (0, 2), (0, 3)]),
+        "star_K1_5": Graph(6, [(0, i) for i in range(1, 6)]),
+        "paw": Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
+        "diamond": Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (2, 3)]),
+        "bull": Graph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (2, 4)]),
+        "house": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+        "butterfly": Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
+                               (4, 2)]),
+        "K2,3": Graph(5, [(i, j) for i in range(2) for j in range(2, 5)]),
+        "K3,3": Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        "prism": prism(3),
+        "octahedron": Graph(6, [(i, j) for i in range(6)
+                                for j in range(i + 1, 6) if j != i + 3]),
+        "wheel_W5": Graph(6, [(5, i) for i in range(5)]
+                          + [(i, (i + 1) % 5) for i in range(5)]),
+    }
+
+
+def criterion_4_paintable_implies_choosable(full: bool) -> str:
+    graphs = _named_small_graphs()
+    require(len(graphs) >= 20, "fewer than 20 sweep graphs")
+    require(all(g.n <= 6 for g in graphs.values()), "sweep graph over 6")
+    checked = 0
+    for t in range(1, 4 if full else 3):
+        for name, g in graphs.items():
+            if solve_paintability(g, uni(g.n, t)) == PAINTER:
+                require(solve_choosability(g, t),
+                        f"{name} is {t}-paintable but not {t}-choosable")
+                checked += 1
+    return f"{checked} painter-positive cases verified choosable"
+
+
+def criterion_5_theorem_at_desk_scale(full: bool) -> str:
+    g = mcgee()
+    game_graph = kth_power(g, 3)
+    require(all(game_graph.degree(v) == 21 for v in range(24)),
+            "McGee^3 is not 21-regular")
+    painter, label, _ = dispatch_painter(g, 3)
+    require(label.kind == CaseLabel.MAIN_CASE, f"McGee is {label.kind}")
+    randoms, pressures = (1000, 100) if full else (50, 1)
+    listers = ([random_lister(seed) for seed in range(1, randoms + 1)]
+               + [pressure_lister() for _ in range(pressures)])
+    _painter_wins_all(game_graph, uni(24, 20), painter, listers, "McGee^3")
+    return (f"{randoms} random + {pressures} pressure games, all painter "
+            f"wins, no invariant violations")
+
+
+def criterion_6_fallback_routes(full: bool) -> str:
+    budget = bound_D(3, 3) - 1
+    require(budget == 20, f"budget {budget}")
+    seeds = range(1, 201 if full else 31)
+    routes = [(Graph(10, petersen().edges()[1:]), CaseLabel.NON_REGULAR),
+              (petersen(), CaseLabel.SHORT_CYCLE),
+              (heawood(), CaseLabel.INTERSECTING)]
+    for g, kind in routes:
+        painter, label, _ = dispatch_painter(g, 3)
+        require(label.kind == kind, f"{kind} graph labelled {label.kind}")
+        _painter_wins_all(kth_power(g, 3), uni(g.n, budget), painter,
+                          [random_lister(seed) for seed in seeds], kind)
+    # the clique strategy against the exact adversary replayed from the
+    # oracle, pressure and random listers
+    k4, budgets = complete(4), uni(4, 4)
+    listers = ([oracle_lister(k4, budgets), pressure_lister()]
+               + [random_lister(seed) for seed in range(1, 51)])
+    _painter_wins_all(k4, budgets, clique_painter(), listers, "K4 clique")
+    return (f"3 routes x {len(seeds)} games + clique vs exact adversary, "
+            f"pressure and 50 random listers")
+
+
+def criterion_7_structural_invariants(full: bool) -> str:
+    m = bound_D(3, 3)
+    sizes = [10, 12, 14, 16, 18, 20, 22, 24]
+    count = 100 if full else 20
+    for seed in range(count):
+        g = random_regular(sizes[seed % len(sizes)], 3, seed)
+        require(kth_power(g, 3).max_degree <= m,
+                f"cubic graph {seed}: G^3 degree over {m}")
+    mc3 = kth_power(mcgee(), 3)
+    require(all(mc3.degree(v) == m for v in range(24)), "McGee^3 not tight")
+    return f"{count} cubic graphs bounded by {m}, McGee tight"
+
+
+def criterion_8_round_trips(full: bool) -> str:
+    trips, games = (1000, 50) if full else (200, 10)
+    rng = random.Random(2024)
+    for _ in range(trips):
+        n = rng.randint(1, 24)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.35])
+        require(parse_graph6(write_graph6(g)) == g,
+                f"graph6 round trip changed {g.edges()}")
+    g = heawood()
+    painter, _, _ = dispatch_painter(g, 3)
+    _painter_wins_all(kth_power(g, 3), uni(g.n, 20), painter,
+                      [random_lister(seed) for seed in range(games)],
+                      "Heawood^3")
+    return f"{trips} graph6 round trips + {games} validated transcripts"
+
+
+CHECKS = [
+    Check("criterion_1_bound_formula", 0.01, criterion_1_bound_formula),
+    Check("criterion_2_moore_sharpness", 60, criterion_2_moore_sharpness),
+    Check("criterion_3_oracle_ground_truth", 60,
+          criterion_3_oracle_ground_truth),
+    Check("criterion_4_paintable_implies_choosable", 600,
+          criterion_4_paintable_implies_choosable),
+    Check("criterion_5_theorem_at_desk_scale", 900,
+          criterion_5_theorem_at_desk_scale),
+    Check("criterion_6_fallback_routes", 600, criterion_6_fallback_routes),
+    Check("criterion_7_structural_invariants", 60,
+          criterion_7_structural_invariants),
+    Check("criterion_8_round_trips", 60, criterion_8_round_trips),
+]
+
+
+def run_check(row: Check, full: bool) -> str:
+    """Run one row within its time bound and return its summary."""
+    t0 = time.perf_counter()
+    summary = row.check(full)
+    elapsed = time.perf_counter() - t0
+    require(elapsed < row.bound_s,
+            f"took {elapsed:.3f}s, over the {row.bound_s}s bound")
+    return f"{summary} in {elapsed:.3f}s"
 
 
 def run_selftest(full: bool = False) -> int:
-    checks = []
-
-    def check(name, fn):
+    """Run every row, printing PASS or FAIL for each and carrying on
+    past a failure. Returns 0 if every row passed, else 1."""
+    failed = 0
+    for row in CHECKS:
         try:
-            ok = fn()
+            print(f"PASS {row.name}: {run_check(row, full)}")
         except Exception as exc:  # report, keep going
-            ok = False
-            print(f"FAIL {name}: {exc}", file=sys.stderr)
-        checks.append((name, ok))
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-
-    check("bound formula",
-          lambda: all(bound_D(2, d) == d * d for d in (3, 4, 5))
-          and bound_D(3, 3) == 21)
-
-    def oracle_truths():
-        uni = TokenBudgets.uniform
-        cy = gen_io.cycle
-        co = gen_io.complete
-        return (
-            solve_paintability(cy(5), uni(5, 2)) == LISTER
-            and solve_paintability(cy(5), uni(5, 3)) == PAINTER
-            and solve_paintability(cy(4), uni(4, 2)) == PAINTER
-            and solve_paintability(cy(6), uni(6, 2)) == PAINTER
-            and solve_paintability(gen_io.path(3), uni(3, 2)) == PAINTER
-            and all(solve_paintability(co(n), uni(n, n)) == PAINTER
-                    and solve_paintability(co(n), uni(n, n - 1)) == LISTER
-                    for n in (2, 3, 4))
-        )
-
-    check("oracle ground truth", oracle_truths)
-
-    def moore_sharpness():
-        k10 = kth_power(gen_io.petersen(), 2)
-        return (k10 == gen_io.complete(10)
-                and solve_paintability(k10, TokenBudgets.uniform(10, 9)) == LISTER
-                and solve_paintability(k10, TokenBudgets.uniform(10, 10)) == PAINTER)
-
-    check("Moore sharpness (Petersen squared)", moore_sharpness)
-
-    def degree_bounds():
-        for seed in range(20):
-            g = gen_io.random_regular(14, 3, seed)
-            if any(kth_power(g, 3).degree(v) > 21 for v in range(g.n)):
-                return False
-        mc3 = kth_power(gen_io.mcgee(), 3)
-        return all(mc3.degree(v) == 21 for v in range(24))
-
-    check("cubic power degree bound and McGee tightness", degree_bounds)
-
-    def round_trips():
-        import random as _r
-        rng = _r.Random(0)
-        for _ in range(200):
-            n = rng.randint(1, 20)
-            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < 0.3]
-            from .graph import Graph
-            g = Graph(n, edges)
-            if gen_io.parse_graph6(gen_io.write_graph6(g)) != g:
-                return False
-        return True
-
-    check("graph6 round trip", round_trips)
-
-    main_games = 1000 if full else 50
-    route_games = 200 if full else 30
-    check("main strategy on McGee cubed",
-          lambda: _play_all(gen_io.mcgee(), 3, "random", main_games, 1) == 0
-          and _play_all(gen_io.mcgee(), 3, "pressure", 1, 1) == 0)
-
-    def fallback_routes():
-        pet = gen_io.petersen()
-        dented = pet.edges()[1:]
-        from .graph import Graph
-        pet_minus = Graph(10, dented)
-        for g in (pet_minus, pet, gen_io.heawood()):
-            if _play_all(g, 3, "random", route_games, 7) != 0:
-                return False
-        return True
-
-    check("fallback routes never lose", fallback_routes)
-
-    failed = [name for name, ok in checks if not ok]
+            failed += 1
+            traceback.print_exc()
+            print(f"FAIL {row.name}: {type(exc).__name__}: {exc}")
     if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed", file=sys.stderr)
+        print(f"{failed} of {len(CHECKS)} checks failed", file=sys.stderr)
         return 1
-    print(f"all {len(checks)} checks passed")
+    print(f"all {len(CHECKS)} checks passed")
     return 0

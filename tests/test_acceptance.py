@@ -1,222 +1,16 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line
-with its measured result (run with -s or -v to see them).
+"""Acceptance suite: one test per row of the criteria table in
+``powerpaint.selftest``, each at the full acceptance counts. Run with
+-s or -v to see each row's PASS line with its measured result.
 """
 
-import random
-import time
-
-import pytest
-
-from powerpaint.game import (
-    TokenBudgets,
-    play_game,
-    pressure_lister,
-    random_lister,
-    validate_transcript,
-)
-from powerpaint.gen_io import (
-    complete,
-    cycle,
-    heawood,
-    mcgee,
-    parse_graph6,
-    path,
-    petersen,
-    prism,
-    random_regular,
-    write_graph6,
-)
-from powerpaint.graph import Graph, bound_D, kth_power
-from powerpaint.oracle import (
-    LISTER,
-    PAINTER,
-    oracle_lister,
-    solve_choosability,
-    solve_paintability,
-)
-from powerpaint.painters import CaseLabel, clique_painter, dispatch_painter
-
-uni = TokenBudgets.uniform
+from powerpaint.selftest import CHECKS, run_check
 
 
-def report(name, detail):
-    print(f"PASS {name}: {detail}")
+def _acceptance_test(row):
+    def test():
+        print(f"PASS {row.name}: {run_check(row, full=True)}")
+    return test
 
 
-def test_criterion_1_bound_formula():
-    t0 = time.perf_counter()
-    for delta in (3, 4, 5):
-        assert bound_D(2, delta) == delta ** 2
-    assert bound_D(3, 3) == 21
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 0.001 or elapsed < 0.01  # formula is constant-time
-    report("criterion 1 (bound formula)",
-           f"D(2,3..5)=9,16,25 and D(3,3)=21 in {elapsed * 1e6:.0f}us")
-
-
-def test_criterion_2_moore_sharpness():
-    t0 = time.perf_counter()
-    k10 = kth_power(petersen(), 2)
-    assert k10 == complete(10)
-    assert solve_paintability(k10, uni(10, 9)) == LISTER
-    assert solve_paintability(k10, uni(10, 10)) == PAINTER
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60
-    report("criterion 2 (Moore sharpness)",
-           f"Petersen^2=K10, lister@9 / painter@10 in {elapsed:.2f}s")
-
-
-def test_criterion_3_oracle_ground_truth():
-    t0 = time.perf_counter()
-    for n in (2, 3, 4):
-        assert solve_paintability(complete(n), uni(n, n)) == PAINTER
-        assert solve_paintability(complete(n), uni(n, n - 1)) == LISTER
-    assert solve_paintability(cycle(4), uni(4, 2)) == PAINTER
-    assert solve_paintability(cycle(6), uni(6, 2)) == PAINTER
-    assert solve_paintability(cycle(5), uni(5, 2)) == LISTER
-    assert solve_paintability(cycle(5), uni(5, 3)) == PAINTER
-    assert solve_paintability(path(3), uni(3, 2)) == PAINTER
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60
-    report("criterion 3 (oracle ground truth)",
-           f"K2..K4 thresholds, C4/C5/C6, P3 in {elapsed:.2f}s")
-
-
-def _named_small_graphs():
-    """Connected graphs on <= 6 vertices used for the choosability sweep."""
-    g = {
-        "K2": complete(2), "K3": complete(3), "K4": complete(4),
-        "K5": complete(5), "K6": complete(6),
-        "C3": cycle(3), "C4": cycle(4), "C5": cycle(5), "C6": cycle(6),
-        "P2": path(2), "P3": path(3), "P4": path(4), "P5": path(5),
-        "P6": path(6),
-        "star_K1_3": Graph(4, [(0, 1), (0, 2), (0, 3)]),
-        "star_K1_5": Graph(6, [(0, i) for i in range(1, 6)]),
-        "paw": Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),
-        "diamond": Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (2, 3)]),
-        "bull": Graph(5, [(0, 1), (1, 2), (2, 0), (1, 3), (2, 4)]),
-        "house": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
-        "butterfly": Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4),
-                               (4, 2)]),
-        "K2,3": Graph(5, [(i, j) for i in range(2) for j in range(2, 5)]),
-        "K3,3": Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
-        "prism": prism(3),
-        "octahedron": Graph(6, [(i, j) for i in range(6)
-                                for j in range(i + 1, 6) if j != i + 3]),
-        "wheel_W5": Graph(6, [(5, i) for i in range(5)]
-                          + [(i, (i + 1) % 5) for i in range(5)]),
-    }
-    assert len(g) >= 20
-    return g
-
-
-def test_criterion_4_paintable_implies_choosable():
-    t0 = time.perf_counter()
-    checked = 0
-    for name, g in _named_small_graphs().items():
-        assert g.n <= 6
-        for t in (1, 2, 3):
-            if solve_paintability(g, uni(g.n, t)) == PAINTER:
-                assert solve_choosability(g, t), (name, t)
-                checked += 1
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 600
-    report("criterion 4 (paintable => choosable)",
-           f"{checked} painter-positive cases verified choosable "
-           f"in {elapsed:.1f}s")
-
-
-def test_criterion_5_theorem_at_desk_scale():
-    t0 = time.perf_counter()
-    g = mcgee()
-    game_graph = kth_power(g, 3)
-    assert all(game_graph.degree(v) == 21 for v in range(24))
-    budgets = uni(24, 20)
-    painter, label, _ = dispatch_painter(g, 3)
-    assert label.kind == CaseLabel.MAIN_CASE
-    for seed in range(1, 1001):
-        t = play_game(game_graph, budgets, random_lister(seed), painter)
-        assert t.winner == "painter", f"random seed {seed}"
-    for _ in range(100):
-        t = play_game(game_graph, budgets, pressure_lister(), painter)
-        assert t.winner == "painter"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 900
-    report("criterion 5 (main strategy on McGee^3)",
-           f"1000 random + 100 pressure games, all painter wins, "
-           f"no invariant violations, in {elapsed:.1f}s")
-
-
-def test_criterion_6_fallback_routes():
-    t0 = time.perf_counter()
-    budget = bound_D(3, 3) - 1
-    assert budget == 20
-    cases = [
-        (Graph(10, petersen().edges()[1:]), CaseLabel.NON_REGULAR),
-        (petersen(), CaseLabel.SHORT_CYCLE),
-        (heawood(), CaseLabel.INTERSECTING),
-    ]
-    for g, expected in cases:
-        painter, label, _ = dispatch_painter(g, 3)
-        assert label.kind == expected
-        game_graph = kth_power(g, 3)
-        budgets = uni(g.n, budget)
-        for seed in range(1, 201):
-            t = play_game(game_graph, budgets, random_lister(seed), painter)
-            assert t.winner == "painter", (expected, seed)
-    # clique strategy vs the exact adversary replayed from the oracle
-    k4 = complete(4)
-    budgets = uni(4, 4)
-    t = play_game(k4, budgets, oracle_lister(k4, budgets), clique_painter())
-    assert t.winner == "painter"
-    for lister in [pressure_lister()] + [random_lister(s) for s in range(1, 51)]:
-        t = play_game(k4, budgets, lister, clique_painter())
-        assert t.winner == "painter"
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 600
-    report("criterion 6 (fallback routes)",
-           f"3 routes x 200 games + clique vs exact adversary "
-           f"in {elapsed:.1f}s")
-
-
-def test_criterion_7_structural_invariants():
-    t0 = time.perf_counter()
-    m = bound_D(3, 3)
-    sizes = [10, 12, 14, 16, 18, 20, 22, 24]
-    count = 0
-    for seed in range(100):
-        n = sizes[seed % len(sizes)]
-        g = random_regular(n, 3, seed)
-        g3 = kth_power(g, 3)
-        assert all(g3.degree(v) <= m for v in range(n))
-        count += 1
-    assert count == 100
-    mc3 = kth_power(mcgee(), 3)
-    assert all(mc3.degree(v) == m for v in range(24))
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60
-    report("criterion 7 (structural invariants)",
-           f"100 cubic graphs bounded by {m}, McGee tight, in {elapsed:.1f}s")
-
-
-def test_criterion_8_round_trips():
-    t0 = time.perf_counter()
-    rng = random.Random(2024)
-    for _ in range(1000):
-        n = rng.randint(1, 24)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < 0.35]
-        g = Graph(n, edges)
-        assert parse_graph6(write_graph6(g)) == g
-    g = heawood()
-    game_graph = kth_power(g, 3)
-    budgets = uni(g.n, 20)
-    painter, _, _ = dispatch_painter(g, 3)
-    for seed in range(50):
-        t = play_game(game_graph, budgets, random_lister(seed), painter)
-        assert validate_transcript(game_graph, budgets, t) is None
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 60
-    report("criterion 8 (round trips)",
-           f"1000 graph6 round trips + 50 validated transcripts "
-           f"in {elapsed:.1f}s")
+for _row in CHECKS:
+    globals()[f"test_{_row.name}"] = _acceptance_test(_row)

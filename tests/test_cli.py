@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from powerpaint import selftest
 from powerpaint.cli import main
 from powerpaint.game import TokenBudgets, Transcript, validate_transcript
 from powerpaint.gen_io import mcgee, parse_graph6, petersen
@@ -203,3 +204,19 @@ class TestUsage:
 class TestSelftest:
     def test_quick_pass_succeeds(self, capsys):
         assert main(["selftest"]) == 0
+
+    def test_failing_row_is_reported_and_later_rows_run(self, capsys,
+                                                         monkeypatch):
+        def broken(full):
+            raise AssertionError("planted failure")
+
+        rows = list(selftest.CHECKS)
+        rows[2] = rows[2]._replace(check=broken)
+        monkeypatch.setattr(selftest, "CHECKS", rows)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert f"FAIL {rows[2].name}: AssertionError: planted failure" in lines
+        for row in rows[3:]:
+            assert any(line.startswith(f"PASS {row.name}: ")
+                       for line in lines)

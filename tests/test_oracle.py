@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from powerpaint.errors import CapExceededError, PowerPaintError
+from powerpaint.errors import (CapExceededError, PowerPaintError,
+                               PreconditionError)
 from powerpaint.game import TokenBudgets
 from powerpaint.gen_io import complete, cycle, path, petersen, prism
 from powerpaint.graph import Graph, kth_power
@@ -102,6 +103,12 @@ class TestPaintability:
         g = cycle(13)
         assert solve_paintability(g, uni(13, 2)) == LISTER
 
+    @pytest.mark.parametrize("env", ["12,128,7", "5,,9"])
+    def test_caps_env_with_extra_fields_rejected(self, monkeypatch, env):
+        monkeypatch.setenv("POWERPAINT_CAPS", env)
+        with pytest.raises(PreconditionError, match="POWERPAINT_CAPS"):
+            solve_paintability(cycle(5), uni(5, 2))
+
     def test_winning_reveal_reported(self):
         g = cycle(5)
         solver = PaintabilitySolver(g, uni(5, 2))
@@ -185,8 +192,8 @@ class TestCliqueFastPath:
 
 def _raw_minimax(g, tokens, alive=None):
     """Reference solver with no clique shortcut, no peeling and no
-    state abstraction (memo keys are exact states, not canonical
-    forms). ``alive`` defaults to every vertex."""
+    reply pruning; its memo is keyed by the unpeeled state. ``alive``
+    defaults to every vertex."""
     adj = g.adj
     memo = {}
 
