@@ -25,6 +25,7 @@ from .graph import (
     StructuralReport,
     bound_D,
     classify,
+    diameter,
     find_special_frame,
     girth,
     kth_power,

@@ -4,8 +4,8 @@ enumeration, case classification and the special frame used by the
 main strategy.
 
 Every metric query is a depth-bounded BFS ball (``ball``) of radius at
-most k+1 around the vertices it concerns. Only the report's exact
-``diameter`` is all-pairs, through the cached ``Graph.distances``.
+most k+1 around the vertices it concerns. The report's exact
+``diameter`` grows every vertex's ball at once, as bitsets.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class Graph:
     simplicity and symmetry; connectivity is recorded in ``connected``.
     """
 
-    __slots__ = ("n", "adj", "connected", "_dist")
+    __slots__ = ("n", "adj", "connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -49,7 +49,6 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
         self.connected = len(ball(self, [0])) == n
-        self._dist = None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -68,9 +67,7 @@ class Graph:
         return v in self.adj[u]
 
     def distances(self) -> "DistanceMatrix":
-        if self._dist is None:
-            self._dist = DistanceMatrix.from_graph(self)
-        return self._dist
+        return DistanceMatrix.from_graph(self)
 
     def is_regular(self) -> bool:
         return len({len(a) for a in self.adj}) == 1
@@ -117,9 +114,6 @@ class DistanceMatrix:
     def __call__(self, u: int, v: int) -> int:
         return self.dist[u][v]
 
-    def diameter(self) -> int:
-        return max(max(row) for row in self.dist)
-
 
 def bound_D(k: int, delta: int) -> int:
     """Maximum possible degree of the k-th power of a graph with maximum
@@ -151,6 +145,25 @@ def ball(g: Graph, sources: Iterable[int],
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def diameter(g: Graph) -> int:
+    """Largest distance in a connected graph. Bit u of ``reach[v]`` is
+    set once u is within ``level`` hops of v; each level ORs neighbor
+    rows into every row not yet full, until every row is full."""
+    if not g.connected:
+        raise PreconditionError("diameter requires a connected graph")
+    full = (1 << g.n) - 1
+    reach = [1 << v for v in range(g.n)]
+    level, rows = 0, [v for v in range(g.n) if reach[v] != full]
+    while rows:
+        level += 1
+        prev = reach[:]
+        for v in rows:
+            for u in g.adj[v]:
+                reach[v] |= prev[u]
+        rows = [v for v in rows if reach[v] != full]
+    return level
 
 
 def distance_order(g: Graph, targets: Iterable[int], head=(),
@@ -293,7 +306,7 @@ def structural_report(g: Graph, k: int) -> StructuralReport:
         max_degree=g.max_degree,
         is_regular=g.is_regular(),
         girth=girth(g),
-        diameter=g.distances().diameter(),
+        diameter=diameter(g),
         two_k_cycles=tuple(tuple(c) for c in cycles),
         two_k_cycles_disjoint=disjoint,
     )

@@ -23,7 +23,7 @@ from powerpaint.gen_io import (
     regular_tree,
     write_graph6,
 )
-from powerpaint.graph import Graph, girth
+from powerpaint.graph import Graph, diameter, girth
 
 
 def random_graph(rng: random.Random, max_n: int = 20) -> Graph:
@@ -185,7 +185,7 @@ class TestNamedGraphs:
         assert graph.n == n
         assert all(graph.degree(v) == deg for v in range(n))
         assert girth(graph) == g
-        assert graph.distances().diameter() == diam
+        assert diameter(graph) == diam
 
     def test_complete(self):
         g = complete(4)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import networkx as nx
@@ -19,6 +21,7 @@ from powerpaint.graph import (
     ball,
     bound_D,
     classify,
+    diameter,
     distance_order,
     enumerate_cycles,
     find_special_frame,
@@ -112,6 +115,36 @@ class TestDistances:
                 mine = ball(g, sources, radius)
                 assert mine == theirs
                 assert list(mine.values()) == sorted(mine.values())
+
+
+class TestDiameter:
+    def test_matches_networkx_on_random_connected_graphs(self):
+        # A random spanning tree keeps every draw connected; extra edges
+        # at each density range from trees to nearly complete graphs.
+        rng = random.Random(8)
+        for n in range(1, 31):
+            for density in (0.0, 0.05, 0.2, 0.6):
+                edges = [(v, rng.randrange(v)) for v in range(1, n)]
+                edges += [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < density]
+                g = Graph(n, edges)
+                assert diameter(g) == nx.diameter(to_nx(g)), (n, edges)
+
+    def test_pinned_graphs(self):
+        assert diameter(Graph(1, [])) == 0
+        assert diameter(complete(2)) == 1
+        for n in range(1, 12):
+            assert diameter(path(n)) == n - 1
+            assert diameter(complete(n)) == min(n - 1, 1)
+        for n in range(3, 12):
+            assert diameter(cycle(n)) == n // 2
+        assert [diameter(b()) for b in (petersen, heawood, mcgee)] == [2, 3, 4]
+
+    def test_disconnected_graph_rejected(self):
+        # No row ever fills: the diameter is undefined.
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(PreconditionError):
+            diameter(g)
 
 
 class TestKthPower:

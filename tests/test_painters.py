@@ -10,7 +10,14 @@ from powerpaint.game import (
     random_lister,
     validate_transcript,
 )
-from powerpaint.gen_io import complete, cycle, heawood, mcgee, petersen
+from powerpaint.gen_io import (
+    complete,
+    cycle,
+    heawood,
+    mcgee,
+    petersen,
+    random_regular,
+)
 from powerpaint.graph import CaseLabel, Graph, bound_D, kth_power
 from powerpaint.oracle import oracle_lister
 from powerpaint.painters import (
@@ -210,6 +217,21 @@ class TestDispatch:
         monkeypatch.setattr(graph, "kth_power", counting)
         monkeypatch.setattr(painters, "kth_power", counting)
         dispatch_painter(mcgee(), 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("builder", [
+        mcgee, lambda: random_regular(200, 3, 1),
+        lambda: random_regular(200, 3, 2)], ids=["mcgee", "rr200_1", "rr200_2"])
+    def test_builds_no_distance_matrix(self, builder, monkeypatch):
+        # Every query on the analysis path is a ball or the bitset
+        # diameter; none needs the n^2 all-pairs matrix.
+        calls = []
+        monkeypatch.setattr(graph.DistanceMatrix, "from_graph",
+                            lambda g: calls.append(g))
+        g = builder()
+        graph.structural_report(g, 3)
+        graph.classify(g, 3)
+        dispatch_painter(g, 3)
         assert calls == []
 
     def test_rejects_bad_inputs(self):
