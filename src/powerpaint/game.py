@@ -120,13 +120,9 @@ class Transcript:
         return t
 
 
-def _is_independent(game_graph: Graph, vs) -> bool:
-    vs = list(vs)
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if game_graph.has_edge(vs[i], vs[j]):
-                return False
-    return True
+def _is_independent(game_graph: Graph, vs: set[int]) -> bool:
+    """No two vertices of ``vs`` are adjacent: O(sum of their degrees)."""
+    return all(vs.isdisjoint(game_graph.adj[v]) for v in vs)
 
 
 def _check_reveal(state: GameState, revealed: set[int]) -> None:

@@ -3,14 +3,16 @@ painter strategies rely on: graph powers, girth, diameter, 2k-cycle
 enumeration, case classification and the special frame used by the
 main strategy.
 
-Every metric query is a depth-bounded BFS ball (``ball``) of radius at
-most k+1 around the vertices it concerns. The report's exact
-``diameter`` grows every vertex's ball at once, as bitsets.
+Local metric queries (powers, cycle pruning, frames, orders) are
+depth-bounded BFS balls (``ball``) of radius at most k+1 around the
+vertices they concern. The two whole-graph metrics, ``girth`` and
+``diameter``, grow every vertex's ball at once, as bitsets, and
+``classify`` computes only the facts that decide its label.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -193,24 +195,48 @@ def kth_power(g: Graph, k: int) -> Graph:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for a forest.
 
-    Per-vertex BFS, stopped once no shorter cycle can close: a vertex at
-    depth d with two neighbors at depth d-1 closes a cycle of length at
-    most 2d, an edge inside depth d one of at most 2d+1.
+    Grows every vertex's BFS levels at once, as bitsets (the all-sources
+    form of Itai & Rodeh, SIAM J. Comput. 7, 1978): ``front[v]`` holds
+    the vertices at distance exactly d from v, ``seen[v]`` those within
+    d. At level d = 0, 1, ..., with u, u' neighbors of v:
+
+    - odd: ``front[v]`` meets some ``front[u]``: a cycle of length 2d+1;
+    - even: ``front[u]`` and ``front[u']`` meet outside ``seen[v]``: a
+      cycle of length 2d+2.
+
+    Sound: the two shortest paths to the common vertex, closed through
+    v, form a closed walk of that length that uses the edge vu once, so
+    it holds a cycle no longer.
+    Complete: a shortest cycle is isometric, so on one of length 2d+1
+    or 2d+2 through v the far vertex meets its rule's condition. No
+    level below d fired, so the girth is at least 2d+1, and the first
+    level that fires gives it.
     """
-    best = None
-    for s in range(g.n):
-        dist = ball(g, [s], None if best is None else (best - 1) // 2)
-        for u, du in dist.items():
-            around = [dist.get(v) for v in g.adj[u]]
-            if around.count(du - 1) >= 2:
-                cyc = 2 * du
-            elif du in around:
-                cyc = 2 * du + 1
-            else:
-                continue
-            if best is None or cyc < best:
-                best = cyc
-    return best
+    front = [1 << v for v in range(g.n)]
+    seen = front[:]
+    rows, level = range(g.n), 0
+    while rows:
+        even = False
+        nxt = [0] * g.n
+        for v in rows:
+            outside = ~seen[v]
+            near = far = 0
+            for u in g.adj[v]:
+                f = front[u]
+                near |= f
+                f &= outside
+                if far & f:
+                    even = True
+                far |= f
+            if front[v] & near:
+                return 2 * level + 1
+            nxt[v] = far
+            seen[v] |= far
+        if even:
+            return 2 * level + 2
+        front, level = nxt, level + 1
+        rows = [v for v in rows if front[v]]
+    return None
 
 
 def _cycles(g: Graph, length: int):
@@ -288,27 +314,22 @@ class StructuralReport:
 
 def structural_report(g: Graph, k: int) -> StructuralReport:
     """Girth, diameter, regularity and the exhaustive list of cycles of
-    length exactly 2k, with the pairwise vertex-disjointness flag."""
+    length exactly 2k, with the pairwise vertex-disjointness flag. The
+    cycles are enumerated only when the girth is at most 2k."""
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
     if not g.connected:
         raise PreconditionError("structural_report requires a connected graph")
-    cycles = enumerate_cycles(g, 2 * k)
-    seen_vertices: set[int] = set()
-    disjoint = True
-    for c in cycles:
-        if seen_vertices.intersection(c):
-            disjoint = False
-            break
-        seen_vertices.update(c)
+    gir = girth(g)
+    cycles = [] if gir is None or gir > 2 * k else enumerate_cycles(g, 2 * k)
     return StructuralReport(
         n=g.n,
         max_degree=g.max_degree,
         is_regular=g.is_regular(),
-        girth=girth(g),
+        girth=gir,
         diameter=diameter(g),
         two_k_cycles=tuple(tuple(c) for c in cycles),
-        two_k_cycles_disjoint=disjoint,
+        two_k_cycles_disjoint=_intersecting_pair(cycles) is None,
     )
 
 
@@ -344,7 +365,14 @@ class CaseLabel:
 def classify(g: Graph, k: int,
              report: Optional[StructuralReport] = None) -> CaseLabel:
     """First matching label in priority order: NonRegular, ShortCycle,
-    IntersectingTwoKCycles, SmallDiameter, else MainCase."""
+    IntersectingTwoKCycles, SmallDiameter, else MainCase.
+
+    Each fact is read from ``report`` when one is given, else computed,
+    and only when it can decide the label: the 2k-cycles when the girth
+    is exactly 2k (below it ShortCycle fires, above it there are none),
+    the diameter when n <= D(k, delta) + 1 (a radius-k ball holds at
+    most 1 + D vertices, so a larger graph has diameter above k).
+    """
     if k < 3:
         raise PreconditionError(f"k must be >= 3, got {k}")
     if not g.connected:
@@ -356,26 +384,34 @@ def classify(g: Graph, k: int,
     for v in range(g.n):
         if g.degree(v) < delta:
             return CaseLabel(CaseLabel.NON_REGULAR, low_degree_vertex=v)
-    if report is None:
-        report = structural_report(g, k)
-    if report.girth is not None and report.girth < 2 * k:
+    gir = girth(g) if report is None else report.girth
+    if gir is not None and gir < 2 * k:
         return CaseLabel(CaseLabel.SHORT_CYCLE,
-                         short_cycle=tuple(next(_cycles(g, report.girth))))
-    if not report.two_k_cycles_disjoint:
-        pair = _intersecting_pair(report.two_k_cycles)
-        return CaseLabel(CaseLabel.INTERSECTING, intersecting_cycles=pair)
-    if report.diameter <= k:
-        return CaseLabel(CaseLabel.SMALL_DIAMETER)
+                         short_cycle=tuple(next(_cycles(g, gir))))
+    if gir == 2 * k:
+        pair = _intersecting_pair(enumerate_cycles(g, 2 * k) if report is None
+                                  else report.two_k_cycles)
+        if pair is not None:
+            return CaseLabel(CaseLabel.INTERSECTING, intersecting_cycles=pair)
+    if g.n <= bound_D(k, delta) + 1:
+        if (diameter(g) if report is None else report.diameter) <= k:
+            return CaseLabel(CaseLabel.SMALL_DIAMETER)
     return CaseLabel(CaseLabel.MAIN_CASE)
 
 
 def _intersecting_pair(cycles):
-    for i in range(len(cycles)):
-        si = set(cycles[i])
-        for j in range(i + 1, len(cycles)):
-            if si.intersection(cycles[j]):
-                return (tuple(cycles[i]), tuple(cycles[j]))
-    raise AssertionError("disjointness flag inconsistent with cycle list")
+    """The first pair (i, j), i < j, of cycles sharing a vertex, or None
+    when they are pairwise disjoint. The least cycle i that meets any
+    other one meets only later ones."""
+    where = defaultdict(list)
+    for j, c in enumerate(cycles):
+        for v in c:
+            where[v].append(j)
+    for i, c in enumerate(cycles):
+        j = min((x for v in c for x in where[v] if x != i), default=None)
+        if j is not None:
+            return (tuple(c), tuple(cycles[j]))
+    return None
 
 
 @dataclass(frozen=True)

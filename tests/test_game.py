@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -13,12 +15,14 @@ from powerpaint.game import (
     Round,
     TokenBudgets,
     Transcript,
+    _apply_coloring,
     play_game,
     pressure_lister,
     random_lister,
     validate_transcript,
 )
 from powerpaint.gen_io import complete, cycle, path
+from powerpaint.graph import Graph
 from powerpaint.painters import greedy_scan_painter
 
 
@@ -236,6 +240,36 @@ def test_validator_rejections(case, budget, rounds, winner, loser, expected,
     assert msg is not None and expected in msg
     if round_i is not None:
         assert f"round {round_i}" in msg
+
+
+def _accepts(g: Graph, colored: set[int]) -> bool:
+    state = GameState(TokenBudgets.uniform(g.n, 1))
+    try:
+        _apply_coloring(g, state, set(colored), set(colored))
+    except IllegalPainterMove:
+        return False
+    return True
+
+
+class TestIndependence:
+    def test_rejects_exactly_the_sets_with_an_adjacent_pair(self):
+        rng = random.Random(5)
+        for n in range(1, 25):
+            for density in (0.0, 0.05, 0.2, 0.6):
+                g = Graph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n)
+                              if rng.random() < density])
+                for _ in range(10):
+                    colored = {v for v in range(n) if rng.random() < 0.5}
+                    dependent = any(g.has_edge(u, v) for u, v in
+                                    itertools.combinations(colored, 2))
+                    assert _accepts(g, colored) != dependent, (n, colored)
+
+    def test_only_edge_joins_the_last_two_vertices(self):
+        g = Graph(6, [(4, 5)])
+        assert not _accepts(g, set(range(6)))
+        assert _accepts(g, set(range(5)))
+        assert _accepts(g, {0, 1, 2, 3, 5})
 
 
 class TestListers:

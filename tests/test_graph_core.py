@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from powerpaint.graph import (
     shortest_cycle,
     structural_report,
 )
+from test_golden_analysis import FOSTER_LCF, TUTTE_COXETER_LCF, lcf
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -147,6 +149,43 @@ class TestDiameter:
             diameter(g)
 
 
+class TestGirth:
+    def test_matches_networkx_on_random_graphs(self):
+        # No spanning tree: the draws include forests and disconnected
+        # graphs, whose girth is the least over their components.
+        rng = random.Random(9)
+        for n in range(1, 31):
+            for density in (0.0, 0.05, 0.2, 0.6):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < density]
+                g = Graph(n, edges)
+                expected = nx.girth(to_nx(g))
+                assert girth(g) == (None if expected == math.inf
+                                    else expected), (n, edges)
+        for seed in range(10):
+            g = random_regular(14, 3, seed)
+            assert girth(g) == nx.girth(to_nx(g))
+
+    def test_pinned_graphs(self):
+        assert girth(Graph(1, [])) is None
+        assert girth(complete(2)) is None
+        for n in range(1, 12):
+            assert girth(path(n)) is None
+        for n in range(3, 12):
+            assert girth(cycle(n)) == n
+        assert girth(complete(4)) == 3
+        assert [girth(b()) for b in (petersen, heawood, mcgee)] == [5, 6, 7]
+        assert girth(lcf(*TUTTE_COXETER_LCF)) == 8
+        assert girth(lcf(*FOSTER_LCF)) == 10
+
+    def test_shortest_cycle_in_later_component(self):
+        # A path on 0..5, then a 4-cycle on 6..9 beside a 7-cycle.
+        edges = [(i, i + 1) for i in range(5)]
+        edges += [(6, 7), (7, 8), (8, 9), (9, 6)]
+        edges += [(10 + i, 10 + (i + 1) % 7) for i in range(7)]
+        assert girth(Graph(17, edges)) == 4
+
+
 class TestKthPower:
     def test_petersen_squared_is_k10(self):
         assert kth_power(petersen(), 2) == complete(10)
@@ -212,11 +251,6 @@ class TestStructuralReport:
         r = structural_report(mcgee(), 3)
         assert r.girth == 7 and r.diameter == 4
         assert r.two_k_cycles == ()
-
-    def test_girth_matches_networkx(self):
-        for seed in range(10):
-            g = random_regular(14, 3, seed)
-            assert girth(g) == nx.girth(to_nx(g))
 
     def test_acyclic_girth_none(self):
         assert girth(path(5)) is None

@@ -27,6 +27,7 @@ from powerpaint.painters import (
     greedy_scan_painter,
     main_theorem_painter,
 )
+from test_golden_analysis import GRAPHS, KS, foster_lift
 
 
 def fresh_state(budgets):
@@ -232,6 +233,52 @@ class TestDispatch:
         graph.structural_report(g, 3)
         graph.classify(g, 3)
         dispatch_painter(g, 3)
+        assert calls == []
+
+    def test_lazy_classify_matches_report_path(self):
+        # The lazy decision reads the same facts as the full report.
+        cases = [(build(), k) for build in GRAPHS.values() for k in KS]
+        cases += [(random_regular(n, d, seed), k) for n in (10, 14, 20, 40)
+                  for d in (3, 4) for seed in range(5) for k in (3, 4)]
+        kinds = set()
+        for g, k in cases:
+            label = graph.classify(g, k)
+            assert label == graph.classify(
+                g, k, report=graph.structural_report(g, k)), (g, k)
+            kinds.add(label.kind)
+        assert {CaseLabel.NON_REGULAR, CaseLabel.SHORT_CYCLE,
+                CaseLabel.INTERSECTING, CaseLabel.MAIN_CASE} <= kinds
+
+    def test_no_cycle_enumeration_above_girth(self, monkeypatch):
+        # A Foster lift has girth >= 10 > 2k: it has no 2k-cycle to list.
+        calls = []
+        real = graph.enumerate_cycles
+
+        def counting(g, length):
+            calls.append(length)
+            return real(g, length)
+
+        monkeypatch.setattr(graph, "enumerate_cycles", counting)
+        g = foster_lift(5, 5)
+        report = graph.structural_report(g, 3)
+        assert report.two_k_cycles == () and report.girth >= 10
+        assert graph.classify(g, 3).kind == CaseLabel.MAIN_CASE
+        dispatch_painter(g, 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("builder,k", [
+        (mcgee, 3), (lambda: foster_lift(5, 5), 3),
+        (lambda: foster_lift(5, 5), 4)], ids=["mcgee3", "lift5_3", "lift5_4"])
+    def test_no_diameter_above_moore_bound(self, builder, k, monkeypatch):
+        # n > D + 1: a radius-k ball cannot cover the graph, so the
+        # diameter exceeds k without being computed.
+        calls = []
+        real = graph.diameter
+        monkeypatch.setattr(graph, "diameter",
+                            lambda g: calls.append(g) or real(g))
+        g = builder()
+        assert g.n > bound_D(k, 3) + 1
+        assert graph.classify(g, k).kind == CaseLabel.MAIN_CASE
         assert calls == []
 
     def test_rejects_bad_inputs(self):
