@@ -2,6 +2,11 @@
 reading, the named graphs used throughout the tests, and a pairing-model
 random regular generator.
 
+A graph6 body character is 63 plus a 6-bit group of edge bits, which is
+one base64 digit, so the codec is ``binascii`` base64 and a translation
+table between the two alphabets. Bit strings become integers only in
+base 2, which ``int_max_str_digits`` does not limit.
+
 Randomness comes from ``random.Random`` (Mersenne Twister), which is
 specified by the Python standard library and produces identical streams
 on every platform, so seeded corpora are reproducible byte-for-byte.
@@ -9,6 +14,7 @@ on every platform, so seeded corpora are reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import binascii
 import random
 import re
 from dataclasses import dataclass
@@ -21,7 +27,9 @@ from .graph import Graph
 # graph6
 
 _G6_MAX_LONG = 258047
-_G6_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -55,7 +63,10 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"expected {nbytes} body bytes for n={n}, got {len(data) - pos}",
             offset=pos)
-    bits = "".join(map(_G6_BITS.__getitem__, data[pos:]))
+    raw = binascii.a2b_base64(
+        data[pos:].translate(_FROM_G6) + b"A" * (-nbytes % 4))
+    bits = format(int.from_bytes(raw, "big"),
+                  f"0{8 * len(raw)}b")[:nbytes * 6]
     i = bits.find("1", nbits)
     if i >= 0:
         raise ParseError("nonzero padding bits", offset=pos + i // 6)
@@ -85,16 +96,18 @@ def write_graph6(g: Graph) -> str:
         header = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63),
                   63 + (n & 63)]
     nbits = n * (n - 1) // 2
-    bits = bytearray(nbits + (-nbits) % 6)
+    if not nbits:
+        return bytes(header).decode("ascii")
+    bits = bytearray(b"0") * (nbits + (-nbits) % 24)
     for col in range(1, n):
         first = col * (col - 1) // 2
         for row in g.adj[col]:
             if row >= col:
                 break
-            bits[first + row] = 1
-    body = [63 + (a << 5 | b << 4 | c << 3 | d << 2 | e << 1 | f)
-            for a, b, c, d, e, f in zip(*[iter(bits)] * 6)]
-    return bytes(header + body).decode("ascii")
+            bits[first + row] = 49  # '1'
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False)[:(nbits + 5) // 6]
+    return (bytes(header) + body.translate(_TO_G6)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

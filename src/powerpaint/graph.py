@@ -84,6 +84,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
+def _from_adj(adj: list[tuple[int, ...]], connected: bool) -> Graph:
+    """Wrap adjacency rows as a Graph without validating them. It trusts
+    that each row is a sorted tuple of vertices in range, that the rows
+    are symmetric and loop-free, and that ``connected`` is true of them.
+    Outside input goes through ``Graph(n, edges)``."""
+    g = object.__new__(Graph)
+    g.n = len(adj)
+    g.adj = tuple(adj)
+    g.connected = connected
+    return g
+
+
 class DistanceMatrix:
     """All-pairs hop counts, materialized via BFS from every vertex.
 
@@ -188,8 +200,14 @@ def kth_power(g: Graph, k: int) -> Graph:
         raise PreconditionError("kth_power requires a connected graph")
     if k == 1:
         return g
-    return Graph(g.n, [(u, v) for u in range(g.n)
-                       for v in ball(g, [u], k) if u < v])
+    # Ball rows are loop-free once u is removed, and symmetric because
+    # distance is; a power of a connected graph is connected.
+    rows = []
+    for u in range(g.n):
+        row = sorted(ball(g, [u], k))
+        row.remove(u)
+        rows.append(tuple(row))
+    return _from_adj(rows, True)
 
 
 def girth(g: Graph) -> Optional[int]:

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -23,7 +24,7 @@ from powerpaint.gen_io import (
     regular_tree,
     write_graph6,
 )
-from powerpaint.graph import Graph, diameter, girth
+from powerpaint.graph import Graph, diameter, girth, kth_power
 
 
 def random_graph(rng: random.Random, max_n: int = 20) -> Graph:
@@ -31,6 +32,32 @@ def random_graph(rng: random.Random, max_n: int = 20) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < 0.3]
     return Graph(n, edges)
+
+
+def to_graph6(g: Graph) -> str:
+    """networkx's graph6 line for ``g``, the reference encoder."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return nx.to_graph6_bytes(G, header=False).decode().strip()
+
+
+def assert_padding_rejected(n: int, body: str):
+    """Setting any padding bit of the last body character of an n-vertex
+    graph6 body raises ParseError at that character, under the short
+    header (where n allows one) and under the long one."""
+    nbits = n * (n - 1) // 2
+    if nbits % 6 == 0:
+        return
+    headers = ["~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))]
+    if n <= 62:
+        headers.append(chr(63 + n))
+    for header in headers:
+        for bit in range(6 - nbits % 6):
+            bad = body[:-1] + chr(63 + (ord(body[-1]) - 63 | 1 << bit))
+            with pytest.raises(ParseError) as e:
+                parse_graph6(header + bad)
+            assert e.value.offset == len(header) + len(body) - 1, (n, bit)
 
 
 class TestGraph6:
@@ -54,11 +81,7 @@ class TestGraph6:
         rng = random.Random(7)
         for _ in range(50):
             g = random_graph(rng)
-            G = nx.Graph()
-            G.add_nodes_from(range(g.n))
-            G.add_edges_from(g.edges())
-            theirs = nx.to_graph6_bytes(G, header=False).decode().strip()
-            assert write_graph6(g) == theirs
+            assert write_graph6(g) == to_graph6(g)
 
     def test_long_form_header(self):
         g = path(70)
@@ -66,8 +89,10 @@ class TestGraph6:
         assert line.startswith("~")
         assert parse_graph6(line) == g
 
-    @pytest.mark.parametrize("density", [0.1, 0.6])
+    @pytest.mark.parametrize("density", [0.1, 0.6, 1.0])
     def test_round_trip_every_size_to_69(self, density):
+        # Every n ends its body at a different place in a base64 group;
+        # density 1.0 fills the last group with ones up to the padding.
         rng = random.Random(int(density * 100))
         for n in range(1, 70):
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -75,18 +100,26 @@ class TestGraph6:
             line = write_graph6(g)
             header = 1 if n <= 62 else 4
             assert len(line) == header + (n * (n - 1) // 2 + 5) // 6
+            assert line == to_graph6(g)
             assert parse_graph6(line) == g
+            assert_padding_rejected(n, line[header:])
 
     def test_long_header_bytes_match_networkx(self):
+        # n = 63..110 is 48 consecutive sizes, so n(n-1)/2 takes every
+        # residue mod 24 that it can take.
+        sizes = range(63, 111)
+        assert ({n * (n - 1) // 2 % 24 for n in sizes}
+                == {n * (n - 1) // 2 % 24 for n in range(1, 49)})
         rng = random.Random(3)
-        g = Graph(130, [(u, v) for u in range(130) for v in range(u + 1, 130)
-                        if rng.random() < 0.2])
-        G = nx.Graph()
-        G.add_nodes_from(range(g.n))
-        G.add_edges_from(g.edges())
-        theirs = nx.to_graph6_bytes(G, header=False).decode().strip()
-        assert write_graph6(g) == theirs
-        assert parse_graph6(theirs) == g
+        for density in (0.2, 1.0):
+            for n in [*sizes, 130]:
+                g = Graph(n, [(u, v) for u in range(n)
+                              for v in range(u + 1, n)
+                              if density == 1.0 or rng.random() < density])
+                theirs = to_graph6(g)
+                assert write_graph6(g) == theirs
+                assert parse_graph6(theirs) == g
+                assert_padding_rejected(n, theirs[4:])
 
     def test_padding_error_offset(self):
         # K3 has 3 edge bits; 'x' = 111001 also sets the last padding bit
@@ -94,6 +127,20 @@ class TestGraph6:
         with pytest.raises(ParseError) as e:
             parse_graph6("Bx")
         assert e.value.offset == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str digit limit on this Python")
+    def test_round_trip_under_strictest_digit_limit(self):
+        # Base-2 conversions are exempt from the limit; a base-10 one on
+        # these ~500k-bit bodies would raise ValueError.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for s in range(2):
+                g = kth_power(random_regular(1000, 3, s), 3)
+                assert parse_graph6(write_graph6(g)) == g
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_rejects_bad_characters(self):
         with pytest.raises(ParseError) as e:

@@ -205,6 +205,11 @@ class TestKthPower:
                 got = kth_power(g, k)
                 assert set(got.edges()) == {
                     (min(e), max(e)) for e in expected.edges()}
+                # the unchecked rows equal what the validating
+                # constructor builds from the same edges
+                rebuilt = Graph(g.n, got.edges())
+                assert got == rebuilt and hash(got) == hash(rebuilt)
+                assert got.connected
 
     def test_monotone_in_k(self):
         g = mcgee()
