@@ -87,6 +87,18 @@ class PaintabilitySolver:
     v and leaves it uncolored colors one of its neighbours, and each
     neighbour is colored once, so v loses at most deg(v) < tokens[v]
     tokens (Schauz 2009; Zhu 2009).
+
+    The lister only ever reveals a set S in which every vertex has a
+    neighbour inside S. Say v has none. Every maximal reply to S is
+    I + v for a maximal reply I to S - v, and both drain the same
+    vertices, so the successor of S is that of S - v minus v: if the
+    painter survives S - v, it survives S. So removing isolated vertices
+    from a winning reveal one at a time keeps it winning, and ends either
+    at a reveal with no isolated vertex or at a singleton {v}. A winning
+    {v} means the lister wins on the state without v; by induction on the
+    alive set, some reveal with no isolated vertex wins there, and it
+    wins on the full state too (again induced subgraphs). A peeled state
+    has no isolated vertex, so its full alive set is always revealed.
     """
 
     def __init__(self, game_graph: Graph, budgets: TokenBudgets):
@@ -122,31 +134,38 @@ class PaintabilitySolver:
             tokens[v] = tokens_by_vertex[v]
         if self._painter_wins(alive, tuple(tokens)):
             return None
-        for reveal in self._reveals(alive):
-            if not self._painter_survives(alive, tuple(tokens), reveal):
+        # a reveal that wins on the peeled core wins on the full state
+        core = self._peel(alive, tokens)
+        for reveal in self._reveals(core):
+            if not self._painter_survives(core, tuple(tokens), reveal):
                 return {v for v in range(self.n) if reveal >> v & 1}
         raise AssertionError("lister-winning state with no winning reveal")
 
     # -- internals ---------------------------------------------------------
 
     def _reveals(self, alive: int):
+        """The nonempty subsets of ``alive`` in which every vertex has a
+        neighbour inside the subset."""
+        adj = self.adj_masks
         sub = alive
         while sub:
-            yield sub
+            if all(adj[v] & sub for v in range(self.n) if sub >> v & 1):
+                yield sub
             sub = (sub - 1) & alive
-        # empty set excluded: lister must reveal something
 
     def _peel(self, alive: int, tokens: tuple[int, ...]) -> int:
         """The alive mask left once every vertex with more tokens than
-        alive neighbours is deleted, repeatedly."""
+        alive neighbours is deleted, repeatedly. A deletion lowers only
+        its neighbours' degrees, so only they are checked again."""
         adj = self.adj_masks
-        while True:
-            before = alive
-            for v in range(self.n):
-                if alive >> v & 1 and tokens[v] > (adj[v] & alive).bit_count():
-                    alive ^= 1 << v
-            if alive == before:
-                return alive
+        todo = alive
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo ^= 1 << v
+            if tokens[v] > (adj[v] & alive).bit_count():
+                alive ^= 1 << v
+                todo |= adj[v] & alive
+        return alive
 
     def _painter_wins(self, alive: int, tokens: tuple[int, ...]) -> bool:
         alive = self._peel(alive, tokens)

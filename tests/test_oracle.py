@@ -155,6 +155,86 @@ class TestPeeling:
                 assert _reveal_wins(g, f, reveal), (g.edges(), f, reveal)
         assert min(wins.values()) >= 100, wins
 
+    def test_worklist_peel_matches_naive_fixpoint(self):
+        rng = random.Random(3)
+        for i in range(300):
+            n = rng.randint(1, 10)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < (0.2, 0.4, 0.6)[i % 3]])
+            alive = rng.randrange(1 << n)
+            tokens = tuple(rng.randint(1, 5) for _ in range(n))
+            solver = PaintabilitySolver(g, uni(n, 1))
+            expected = {v for v in range(n) if alive >> v & 1}
+            while low := {v for v in expected
+                          if tokens[v] > len(expected.intersection(g.adj[v]))}:
+                expected -= low
+            peeled = solver._peel(alive, tokens)
+            assert peeled == sum(1 << v for v in expected), (
+                g.edges(), alive, tokens)
+
+
+class TestRevealDominance:
+    @staticmethod
+    def _no_isolated_subsets(g, alive):
+        vs = [v for v in range(g.n) if alive >> v & 1]
+        return {sum(1 << v for v in s)
+                for r in range(1, len(vs) + 1)
+                for s in itertools.combinations(vs, r)
+                if all(any(u in g.adj[v] for u in s) for v in s)}
+
+    @pytest.mark.parametrize("g, count", [(cycle(10), 276), (prism(4), 165)])
+    def test_root_reveals_have_no_isolated_vertex(self, g, count):
+        solver = PaintabilitySolver(g, uni(g.n, 2))
+        alive = (1 << g.n) - 1
+        reveals = list(solver._reveals(alive))
+        assert len(reveals) == len(set(reveals)) == count
+        assert set(reveals) == self._no_isolated_subsets(g, alive)
+        assert reveals[0] == alive
+
+    def test_reveals_on_random_alive_sets(self):
+        rng = random.Random(5)
+        for i in range(60):
+            n = rng.randint(1, 8)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.4])
+            alive = rng.randrange(1 << n)
+            solver = PaintabilitySolver(g, uni(n, 1))
+            reveals = list(solver._reveals(alive))
+            assert len(reveals) == len(set(reveals))
+            assert set(reveals) == self._no_isolated_subsets(g, alive), (
+                g.edges(), alive)
+
+    def test_seven_and_eight_vertices_match_raw_minimax(self):
+        # budgets deg-1..deg+1, capped at 3 to keep the shortcut-free
+        # reference near 2 s; every lister win's reveal is checked too
+        rng = random.Random(2)
+        wins = {PAINTER: 0, LISTER: 0}
+        for i in range(12):
+            n = rng.randint(7, 8)
+            p = (0.4, 0.6)[i % 2]
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            f = [max(1, min(3, g.degree(v) + rng.choice((-1, 0, 1))))
+                 for v in range(n)]
+            expected = PAINTER if _raw_minimax(g, f) else LISTER
+            solver = PaintabilitySolver(g, TokenBudgets(f))
+            assert solver.solve() == expected, (g.edges(), f)
+            wins[expected] += 1
+            if expected == LISTER:
+                reveal = solver.winning_reveal(set(range(n)), f)
+                assert _reveal_wins(g, f, reveal), (g.edges(), f, reveal)
+        assert min(wins.values()) >= 3, wins
+
+    def test_winning_reveal_avoids_peeled_vertices(self):
+        # C5 at 2 tokens is a lister win; the pendant vertex 5 with 2
+        # tokens peels, so the reveal comes from the cycle alone
+        g = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+        f = [2] * 6
+        reveal = PaintabilitySolver(g, TokenBudgets(f)).winning_reveal(
+            set(range(6)), f)
+        assert reveal and 5 not in reveal
+        assert _reveal_wins(g, f, reveal)
+
 
 def _reveal_wins(g, tokens, reveal):
     """True if every independent subset of the reveal drains a vertex
