@@ -10,7 +10,6 @@ from .errors import (
     GraphConstructionError,
     IllegalListerMove,
     IllegalPainterMove,
-    MooreBoundViolationError,
     NoFrameError,
     ParseError,
     PowerPaintError,

@@ -39,10 +39,6 @@ class CycleCapError(PowerPaintError):
     """Cycle enumeration exceeded the configured cycle-count cap."""
 
 
-class MooreBoundViolationError(PowerPaintError):
-    """A diameter-<=k graph has more vertices than the Moore bound allows."""
-
-
 class IllegalListerMove(PowerPaintError):
     """Lister revealed an empty set or a colored/unknown vertex."""
 

@@ -356,7 +356,7 @@ class CaseLabel:
     """Outcome of the case analysis routing a graph to a strategy.
 
     ``kind`` is one of NonRegular, ShortCycle, IntersectingTwoKCycles,
-    SmallDiameter, MainCase. Witness fields are populated per kind.
+    MainCase. Witness fields are populated per kind.
     """
     kind: str
     low_degree_vertex: Optional[int] = None
@@ -366,7 +366,6 @@ class CaseLabel:
     NON_REGULAR = "NonRegular"
     SHORT_CYCLE = "ShortCycle"
     INTERSECTING = "IntersectingTwoKCycles"
-    SMALL_DIAMETER = "SmallDiameter"
     MAIN_CASE = "MainCase"
 
     def to_dict(self) -> dict:
@@ -383,13 +382,22 @@ class CaseLabel:
 def classify(g: Graph, k: int,
              report: Optional[StructuralReport] = None) -> CaseLabel:
     """First matching label in priority order: NonRegular, ShortCycle,
-    IntersectingTwoKCycles, SmallDiameter, else MainCase.
+    IntersectingTwoKCycles, else MainCase.
 
     Each fact is read from ``report`` when one is given, else computed,
     and only when it can decide the label: the 2k-cycles when the girth
-    is exactly 2k (below it ShortCycle fires, above it there are none),
-    the diameter when n <= D(k, delta) + 1 (a radius-k ball holds at
-    most 1 + D vertices, so a larger graph has diameter above k).
+    is exactly 2k (below it ShortCycle fires, above it there are none).
+
+    No diameter step is needed: a graph that reaches MainCase has
+    diameter above k. Fix v. Girth >= 2k makes the radius-(k-1) ball of
+    v a tree, and two length-k paths from v that end at the same vertex
+    close a 2k-cycle through v. So |ball(v, k)| >= 1 + D - c(v), where
+    D = D(k, delta) and c(v) counts the 2k-cycles through v. Disjoint
+    2k-cycles give c(v) <= 1, so diameter <= k would make G a Moore
+    graph (n = D + 1) or a graph of defect 1 (n = D). Neither exists for
+    k >= 3 and delta >= 3 (Damerell 1973; Bannai & Ito 1973, 1981;
+    surveyed in Miller & Siran, "Moore graphs and beyond", Electron. J.
+    Combin. Dynamic Survey DS14).
     """
     if k < 3:
         raise PreconditionError(f"k must be >= 3, got {k}")
@@ -411,9 +419,6 @@ def classify(g: Graph, k: int,
                                   else report.two_k_cycles)
         if pair is not None:
             return CaseLabel(CaseLabel.INTERSECTING, intersecting_cycles=pair)
-    if g.n <= bound_D(k, delta) + 1:
-        if (diameter(g) if report is None else report.diameter) <= k:
-            return CaseLabel(CaseLabel.SMALL_DIAMETER)
     return CaseLabel(CaseLabel.MAIN_CASE)
 
 

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (
-    MooreBoundViolationError,
-    PreconditionError,
-    StrategyInvariantViolation,
-)
+from .errors import PreconditionError, StrategyInvariantViolation
 from .graph import (
     CaseLabel,
     Graph,
@@ -63,7 +59,8 @@ class GreedyScanPainter:
 
 class CliquePainter:
     """For clique game graphs: colors exactly one revealed vertex, the
-    one with fewest remaining tokens (ties by id)."""
+    one with fewest remaining tokens (ties by id). No dispatch route
+    returns it; ``--painter clique`` and selftest criterion 6 play it."""
 
     name = "clique"
 
@@ -86,9 +83,9 @@ def clique_painter() -> CliquePainter:
 
 class TheoremPainter:
     """The main-case strategy. Plays on the k-th power of a regular
-    graph with girth >= 2k, disjoint 2k-cycles and diameter >= k+1,
-    with uniform budgets M-1 where M is the degree bound. ``label`` is
-    the case label of (g, k) when the caller already has it.
+    graph with girth >= 2k and disjoint 2k-cycles, hence diameter >= k+1
+    (see ``classify``), with uniform budgets M-1, M the degree bound.
+    ``label`` is the case label of (g, k) when the caller already has it.
 
     Per round, four frame vertices x1,x2,y1,y2 are handled by priority
     rules that steer their colors away from the lists of the two late
@@ -235,18 +232,13 @@ def dispatch_painter(g: Graph, k: int):
     """Route a graph through the case analysis.
 
     Returns (painter, label, order) where ``order`` is the coloring
-    order the painter scans (identity for the clique case).
+    order the painter scans: the special frame's order for MainCase,
+    else a distance order that ends at the fallback case's witness.
     """
     label = classify(g, k)
     if label.kind == CaseLabel.MAIN_CASE:
         painter = main_theorem_painter(g, k, label=label)
         return painter, label, painter.frame.order
-    if label.kind == CaseLabel.SMALL_DIAMETER:
-        m = bound_D(k, g.max_degree)
-        if g.n > m - 1:
-            raise MooreBoundViolationError(
-                f"diameter <= {k} graph with {g.n} > {m - 1} vertices")
-        return clique_painter(), label, tuple(range(g.n))
     if label.kind == CaseLabel.NON_REGULAR:
         targets = tail = (label.low_degree_vertex,)
     elif label.kind == CaseLabel.SHORT_CYCLE:

@@ -128,7 +128,7 @@ def test_pipeline_matches_golden(name, k):
 def test_golden_covers_every_route():
     kinds = {r["label"]["kind"] for r in load().values()}
     assert {CaseLabel.NON_REGULAR, CaseLabel.SHORT_CYCLE,
-            CaseLabel.INTERSECTING, CaseLabel.MAIN_CASE} <= kinds
+            CaseLabel.INTERSECTING, CaseLabel.MAIN_CASE} == kinds
 
 
 def test_dispatch_classifies_main_case_once(monkeypatch):

@@ -6,7 +6,12 @@ import pytest
 import networkx as nx
 
 from powerpaint import graph
-from powerpaint.errors import CycleCapError, NoFrameError, PreconditionError
+from powerpaint.errors import (
+    CycleCapError,
+    GraphConstructionError,
+    NoFrameError,
+    PreconditionError,
+)
 from powerpaint.gen_io import (
     complete,
     cycle,
@@ -31,7 +36,7 @@ from powerpaint.graph import (
     shortest_cycle,
     structural_report,
 )
-from test_golden_analysis import FOSTER_LCF, TUTTE_COXETER_LCF, lcf
+from test_golden_analysis import FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF, lcf
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -70,8 +75,17 @@ class TestBound:
 
 class TestGraphInvariants:
     def test_rejects_self_loop(self):
-        with pytest.raises(Exception):
+        with pytest.raises(GraphConstructionError, match="self-loop"):
             Graph(2, [(0, 0)])
+
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0)])
+    def test_rejects_out_of_range_edge(self, edge):
+        with pytest.raises(GraphConstructionError, match="out of range"):
+            Graph(2, [edge])
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(GraphConstructionError, match="at least one"):
+            Graph(0, [])
 
     def test_parallel_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0)])
@@ -306,6 +320,31 @@ class TestClassify:
         assert label.kind == CaseLabel.NON_REGULAR
         assert g.degree(label.low_degree_vertex) == 2
 
+    def test_ball_counting_bound(self):
+        # classify's argument that MainCase forces diameter > k: in a
+        # regular graph of girth >= 2k, |ball(v, k)| >= 1 + D - c(v),
+        # where c(v) counts the 2k-cycles through v.
+        rows = tight = 0
+        for name, build in GRAPHS.items():
+            g = build()
+            gir = girth(g)
+            for k in KS:
+                if not g.is_regular() or (gir is not None and gir < 2 * k):
+                    continue
+                D = bound_D(k, g.max_degree)
+                c = [0] * g.n
+                for cyc in enumerate_cycles(g, 2 * k):
+                    for v in cyc:
+                        c[v] += 1
+                for v in range(g.n):
+                    size = len(ball(g, [v], k))
+                    assert size >= 1 + D - c[v], (name, k, v)
+                    tight += size == 1 + D - c[v]
+                rows += 1
+        assert rows and tight
+        # Tight on every McGee vertex at k = 3: 22 = 1 + 21.
+        assert {len(ball(mcgee(), [v], 3)) for v in range(24)} == {22}
+
     def test_rejects_small_k_or_degree(self):
         with pytest.raises(PreconditionError):
             classify(petersen(), 2)
@@ -356,6 +395,16 @@ class TestSpecialFrame:
             find_special_frame(petersen(), 3)
         with pytest.raises(PreconditionError):
             find_special_frame(cycle(6), 3)
+
+    @pytest.mark.parametrize("build", [lambda: complete(4), petersen, heawood],
+                             ids=["K4", "petersen", "heawood"])
+    def test_no_frame_at_diameter_at_most_k(self, build):
+        # A graph of diameter <= k labelled MainCase (which classify's
+        # argument rules out) has no (x1, y1) at distance k + 1.
+        g = build()
+        assert diameter(g) <= 3
+        with pytest.raises(NoFrameError, match="contradicts"):
+            find_special_frame(g, 3, label=CaseLabel(CaseLabel.MAIN_CASE))
 
     def test_deterministic(self):
         assert find_special_frame(mcgee(), 3) == find_special_frame(mcgee(), 3)
