@@ -56,6 +56,7 @@ from .game import (
     validate_transcript,
 )
 from .painters import (
+    certify,
     clique_painter,
     dispatch_painter,
     greedy_scan_painter,

@@ -41,13 +41,19 @@ class Graph:
         if n < 1:
             raise GraphConstructionError("graph needs at least one vertex")
         neigh = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphConstructionError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise GraphConstructionError(f"self-loop at {u}")
-            neigh[u].add(v)
-            neigh[v].add(u)
+        edge = None
+        try:
+            for edge in edges:
+                u, v = edge
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphConstructionError(
+                        f"edge ({u},{v}) out of range")
+                if u == v:
+                    raise GraphConstructionError(f"self-loop at {u}")
+                neigh[u].add(v)
+                neigh[v].add(u)
+        except (TypeError, ValueError) as exc:
+            raise GraphConstructionError(f"malformed edge {edge!r}") from exc
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
         self.connected = len(ball(self, [0])) == n

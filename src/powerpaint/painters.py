@@ -36,6 +36,19 @@ def _scan(order, adj, revealed, colored, skip=()):
     return colored
 
 
+def certify(game_graph: Graph, order, budgets) -> set[int]:
+    """The static twin of ``_scan``: the vertices u with back(u) >=
+    budgets[u], back(u) being u's game-graph neighbors earlier in
+    ``order``. The scan leaves a revealed u uncolored only if an earlier
+    neighbor was colored that round, and each vertex is colored once, so
+    u loses at most back(u) tokens: an empty result proves the scan wins
+    against every lister (Schauz, EJC 16 (2009) R77; Zhu, EJC 16 (2009)
+    R127)."""
+    pos = {u: i for i, u in enumerate(order)}
+    return {u for u in order if sum(
+        pos[x] < pos[u] for x in game_graph.adj[u]) >= budgets[u]}
+
+
 class GreedyScanPainter:
     """Scans a fixed vertex order each round and colors every revealed
     vertex whose game-graph neighbors are all uncolored this round.
@@ -90,31 +103,25 @@ class TheoremPainter:
     Per round, four frame vertices x1,x2,y1,y2 are handled by priority
     rules that steer their colors away from the lists of the two late
     vertices v and w; everything else is colored by the greedy scan in
-    the frame order, which ends with w then v.
+    the frame order, which starts with the frame four and ends with w
+    then v. ``certify`` proves that scan for every vertex but v and w.
     """
 
     name = "theorem"
 
-    def __init__(self, g: Graph, k: int, check_slack: bool = False,
-                 label: Optional[CaseLabel] = None):
+    def __init__(self, g: Graph, k: int, label: Optional[CaseLabel] = None):
         if label is None:
             label = classify(g, k)
         if label.kind != CaseLabel.MAIN_CASE:
             raise PreconditionError(
                 f"theorem painter requires MainCase, got {label.kind}")
-        self.base = g
-        self.k = k
         self.frame = find_special_frame(g, k, label=label)
-        self._pos = {u: i for i, u in enumerate(self.frame.order)}
         self.M = bound_D(k, g.max_degree)
-        self.check_slack = check_slack
         self.reset()
 
     def reset(self):
         self.no_v = 0
         self.no_w = 0
-        self.constraint_count = [0] * self.base.n
-        self.slack_violations = []
 
     # -- helpers ----------------------------------------------------------
 
@@ -172,8 +179,6 @@ class TheoremPainter:
 
         # Greedy scan over everything but the frame four; w then v last.
         _scan(f.order, adj, revealed, colored, skip=f.frame_vertices())
-        if self.check_slack:
-            self._record_slack(state, game_graph, revealed, colored)
 
         self._update_counters(state, revealed, colored)
         self._check_tokens(state, revealed, colored)
@@ -198,24 +203,6 @@ class TheoremPainter:
                 raise StrategyInvariantViolation(
                     f"vertex {z} exhausts its budget uncolored in round "
                     f"{state.round}")
-
-    def _record_slack(self, state, game_graph, revealed, colored):
-        # Executable constraint-slack bound: a non-frame vertex u that
-        # stays uncolored accumulates at most deg(u) - r(u) constraints,
-        # where r(u) counts its game-graph neighbors later in the order.
-        # A constraint is a round whose color was in L(u) and landed on
-        # a neighbor; later neighbors each either never constrain u or
-        # share their color with the earlier neighbor that blocked u.
-        pos = self._pos
-        frame_four = self.frame.frame_vertices()
-        for u in revealed - colored:
-            if u in frame_four:
-                continue
-            if not colored.isdisjoint(game_graph.adj[u]):
-                self.constraint_count[u] += 1
-                r_u = sum(1 for x in game_graph.adj[u] if pos[x] > pos[u])
-                if self.constraint_count[u] > game_graph.degree(u) - r_u:
-                    self.slack_violations.append((state.round, u))
 
 
 def main_theorem_painter(g: Graph, k: int, **kwargs) -> TheoremPainter:

@@ -24,7 +24,7 @@ from .gen_io import (complete, cycle, heawood, mcgee, parse_graph6, path,
 from .graph import Graph, bound_D, kth_power
 from .oracle import (LISTER, PAINTER, oracle_lister, solve_choosability,
                      solve_paintability)
-from .painters import CaseLabel, clique_painter, dispatch_painter
+from .painters import CaseLabel, certify, clique_painter, dispatch_painter
 
 uni = TokenBudgets.uniform
 
@@ -125,14 +125,18 @@ def criterion_5_theorem_at_desk_scale(full: bool) -> str:
     game_graph = kth_power(g, 3)
     require(all(game_graph.degree(v) == 21 for v in range(24)),
             "McGee^3 is not 21-regular")
-    painter, label, _ = dispatch_painter(g, 3)
+    painter, label, order = dispatch_painter(g, 3)
     require(label.kind == CaseLabel.MAIN_CASE, f"McGee is {label.kind}")
+    f = painter.frame
+    late = certify(game_graph, order, uni(24, 20))
+    require(late == {f.v, f.w}, f"scan violators {late}, not v and w")
     randoms, pressures = (1000, 100) if full else (50, 1)
     listers = ([random_lister(seed) for seed in range(1, randoms + 1)]
                + [pressure_lister() for _ in range(pressures)])
     _painter_wins_all(game_graph, uni(24, 20), painter, listers, "McGee^3")
-    return (f"{randoms} random + {pressures} pressure games, all painter "
-            f"wins, no invariant violations")
+    return (f"scan certified but for v and w, {randoms} random + "
+            f"{pressures} pressure games, all painter wins, no invariant "
+            f"violations")
 
 
 def criterion_6_fallback_routes(full: bool) -> str:
@@ -143,9 +147,12 @@ def criterion_6_fallback_routes(full: bool) -> str:
               (petersen(), CaseLabel.SHORT_CYCLE),
               (heawood(), CaseLabel.INTERSECTING)]
     for g, kind in routes:
-        painter, label, _ = dispatch_painter(g, 3)
+        painter, label, order = dispatch_painter(g, 3)
         require(label.kind == kind, f"{kind} graph labelled {label.kind}")
-        _painter_wins_all(kth_power(g, 3), uni(g.n, budget), painter,
+        game_graph, budgets = kth_power(g, 3), uni(g.n, budget)
+        bad = certify(game_graph, order, budgets)
+        require(not bad, f"{kind}: scan violators {bad}")
+        _painter_wins_all(game_graph, budgets, painter,
                           [random_lister(seed) for seed in seeds], kind)
     # the clique strategy against the exact adversary replayed from the
     # oracle, pressure and random listers
@@ -153,8 +160,8 @@ def criterion_6_fallback_routes(full: bool) -> str:
     listers = ([oracle_lister(k4, budgets), pressure_lister()]
                + [random_lister(seed) for seed in range(1, 51)])
     _painter_wins_all(k4, budgets, clique_painter(), listers, "K4 clique")
-    return (f"3 routes x {len(seeds)} games + clique vs exact adversary, "
-            f"pressure and 50 random listers")
+    return (f"3 routes certified, {len(seeds)} games each + clique vs "
+            f"exact adversary, pressure and 50 random listers")
 
 
 def criterion_7_structural_invariants(full: bool) -> str:
@@ -163,11 +170,14 @@ def criterion_7_structural_invariants(full: bool) -> str:
     count = 100 if full else 20
     for seed in range(count):
         g = random_regular(sizes[seed % len(sizes)], 3, seed)
-        require(kth_power(g, 3).max_degree <= m,
-                f"cubic graph {seed}: G^3 degree over {m}")
+        g3 = kth_power(g, 3)
+        require(g3.max_degree <= m, f"cubic graph {seed}: G^3 degree over {m}")
+        _, _, order = dispatch_painter(g, 3)
+        bad = certify(g3, order, uni(g.n, m - 1))
+        require(not bad, f"cubic graph {seed}: scan violators {bad}")
     mc3 = kth_power(mcgee(), 3)
     require(all(mc3.degree(v) == m for v in range(24)), "McGee^3 not tight")
-    return f"{count} cubic graphs bounded by {m}, McGee tight"
+    return f"{count} cubic graphs bounded by {m} and certified, McGee tight"
 
 
 def criterion_8_round_trips(full: bool) -> str:

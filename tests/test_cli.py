@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powerpaint
 from powerpaint import selftest
 from powerpaint.cli import main
 from powerpaint.game import TokenBudgets, Transcript, validate_transcript
@@ -116,6 +121,14 @@ class TestPlay:
         assert code == 1
         assert out == "" and err.startswith("error: ")
 
+    def test_theorem_painter_off_main_case_exits_2(self, capsys):
+        code, out, err = run(capsys, "play", "--family", "petersen", "--k",
+                             "3", "--painter", "theorem", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: theorem painter requires MainCase, "
+                       "got ShortCycle\n")
+
     def test_loss_exits_1(self, capsys):
         # starved budget forces losses on the greedy painter
         code, out, _ = run(capsys, "play", "--family", "petersen", "--k", "3",
@@ -220,3 +233,16 @@ class TestSelftest:
         for row in rows[3:]:
             assert any(line.startswith(f"PASS {row.name}: ")
                        for line in lines)
+
+    def test_require_survives_python_O(self):
+        # ``require`` is an explicit raise; an ``assert`` would vanish
+        # under -O and let every row pass.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(powerpaint.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from powerpaint.selftest import require; "
+             "require(False, 'planted failure')"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode != 0
+        assert "AssertionError: planted failure" in proc.stderr

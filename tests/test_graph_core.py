@@ -83,6 +83,12 @@ class TestGraphInvariants:
         with pytest.raises(GraphConstructionError, match="out of range"):
             Graph(2, [edge])
 
+    @pytest.mark.parametrize("edge", [(0.5, 1), ("0", 1), (1.0, 0),
+                                      (0, 1, 2), (0,)])
+    def test_rejects_malformed_edge(self, edge):
+        with pytest.raises(GraphConstructionError, match="malformed edge"):
+            Graph(2, [edge])
+
     def test_rejects_empty_graph(self):
         with pytest.raises(GraphConstructionError, match="at least one"):
             Graph(0, [])
