@@ -234,6 +234,15 @@ class TestNamedGraphs:
         assert girth(graph) == g
         assert diameter(graph) == diam
 
+    @pytest.mark.parametrize("builder,line", [
+        (petersen, "IheA@GUAo"),
+        (heawood, "MhEGHC@AI?_PC@_G_"),
+        (mcgee, "WhCGGD@?G?`@_@??_GG_@??C?GGC?H??C?@@?C?GG??o?@@"),
+    ])
+    def test_cage_labelling_is_pinned(self, builder, line):
+        # the golden data and the benchmark inputs depend on these labels
+        assert write_graph6(builder()) == line
+
     def test_complete(self):
         g = complete(4)
         assert all(g.degree(v) == 3 for v in range(4))
