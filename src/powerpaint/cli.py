@@ -51,25 +51,20 @@ def _load_graph(args) -> Graph:
     raise PowerPaintError("no graph given: pass --input or --family")
 
 
-def _make_lister(name: str, seed: int):
-    if name == "random":
-        return random_lister(seed)
-    if name == "pressure":
-        return pressure_lister()
-    raise PowerPaintError(f"unknown lister {name!r}")
+def _dispatch(g: Graph, k: int):
+    painter, label, _ = dispatch_painter(g, k)
+    return painter, label.kind
 
 
-def _make_painter(name: str, g: Graph, k: int):
-    if name == "dispatch":
-        painter, label, _ = dispatch_painter(g, k)
-        return painter, label.kind
-    if name == "theorem":
-        return main_theorem_painter(g, k), "MainCase"
-    if name == "greedy":
-        return greedy_scan_painter(range(g.n)), None
-    if name == "clique":
-        return clique_painter(), None
-    raise PowerPaintError(f"unknown painter {name!r}")
+# name -> builder: a painter and its reported route from (g, k), a lister
+# from the game seed
+PAINTERS = {
+    "dispatch": _dispatch,
+    "theorem": lambda g, k: (main_theorem_painter(g, k), "MainCase"),
+    "greedy": lambda g, k: (greedy_scan_painter(range(g.n)), None),
+    "clique": lambda g, k: (clique_painter(), None),
+}
+LISTERS = {"random": random_lister, "pressure": lambda seed: pressure_lister()}
 
 
 def cmd_analyze(args) -> int:
@@ -104,12 +99,12 @@ def cmd_play(args) -> int:
     if budget is None:
         budget = bound_D(k, g.max_degree) - 1
     budgets = TokenBudgets.uniform(g.n, budget)
-    painter, route = _make_painter(args.painter, g, k)
+    painter, route = PAINTERS[args.painter](g, k)
     wins = {"painter": 0, "lister": 0}
     transcripts = []
     for i in range(args.games):
         game_seed = args.seed + i  # documented derivation: base seed + index
-        lister = _make_lister(args.lister, game_seed)
+        lister = LISTERS[args.lister](game_seed)
         t = play_game(game_graph, budgets, lister, painter,
                       seed=game_seed, k=k)
         bad = validate_transcript(game_graph, budgets, t)
@@ -173,10 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("play", help="play games on the k-th power")
     _add_graph_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--painter", default="dispatch",
-                   choices=["dispatch", "theorem", "greedy", "clique"])
-    p.add_argument("--lister", default="random",
-                   choices=["random", "pressure"])
+    p.add_argument("--painter", default="dispatch", choices=list(PAINTERS))
+    p.add_argument("--lister", default="random", choices=list(LISTERS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--games", type=int, default=1)
     p.add_argument("--budget", type=int,

@@ -123,6 +123,9 @@ def parse_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise ParseError(
+                    f"duplicate problem line {raw!r} (line {lineno})")
             if len(parts) < 3 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(f"bad problem line {raw!r} (line {lineno})")
             n = _dimacs_int(parts[2], raw, lineno)
@@ -169,27 +172,12 @@ def load_graph_file(path: str) -> Graph:
 # ---------------------------------------------------------------------------
 # named graphs
 
-# Cubic cage adjacency embedded as static data; the unit tests assert the
-# (girth, diameter) signatures so a typo cannot survive.
+# The Petersen graph is not Hamiltonian, so it has no LCF notation and
+# is kept as static data; the unit tests pin all three cages' graph6.
 _PETERSEN_EDGES = [
     (0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), (3, 8),
     (4, 9), (5, 7), (5, 8), (6, 8), (6, 9), (7, 9),
 ]
-_HEAWOOD_EDGES = [
-    (0, 1), (0, 5), (0, 13), (1, 2), (1, 10), (2, 3), (2, 7), (3, 4),
-    (3, 12), (4, 5), (4, 9), (5, 6), (6, 7), (6, 11), (7, 8), (8, 9),
-    (8, 13), (9, 10), (10, 11), (11, 12), (12, 13),
-]
-_MCGEE_EDGES = [
-    (0, 1), (0, 12), (0, 23), (1, 2), (1, 8), (2, 3), (2, 19), (3, 4),
-    (3, 15), (4, 5), (4, 11), (5, 6), (5, 22), (6, 7), (6, 18), (7, 8),
-    (7, 14), (8, 9), (9, 10), (9, 21), (10, 11), (10, 17), (11, 12),
-    (12, 13), (13, 14), (13, 20), (14, 15), (15, 16), (16, 17), (16, 23),
-    (17, 18), (18, 19), (19, 20), (20, 21), (21, 22), (22, 23),
-]
-
-FAMILIES = ("petersen", "heawood", "mcgee", "complete", "cycle", "path",
-            "prism", "random_regular", "regular_tree")
 
 
 @dataclass(frozen=True)
@@ -201,16 +189,24 @@ class GraphFamilySpec:
     seed: Optional[int] = None
 
 
+def lcf(shifts: list[int], reps: int) -> Graph:
+    """Cubic Hamiltonian graph from LCF notation ``shifts^reps`` (Frucht
+    1977): the n-cycle plus a chord from i to i + shifts[i % len(shifts)]."""
+    n = len(shifts) * reps
+    return Graph(n, [(i, j) for i in range(n)
+                     for j in ((i + 1) % n, (i + shifts[i % len(shifts)]) % n)])
+
+
 def petersen() -> Graph:
     return Graph(10, _PETERSEN_EDGES)
 
 
 def heawood() -> Graph:
-    return Graph(14, _HEAWOOD_EDGES)
+    return lcf([5, -5], 7)
 
 
 def mcgee() -> Graph:
-    return Graph(24, _MCGEE_EDGES)
+    return lcf([12, 7, -7], 8)
 
 
 def complete(n: int) -> Graph:
@@ -274,59 +270,48 @@ def random_regular(n: int, degree: int, seed: int,
         raise PreconditionError(f"need n >= degree+1, got n={n} degree={degree}")
     if (n * degree) % 2 != 0:
         raise PreconditionError(f"n*degree must be even, got {n}*{degree}")
+    if degree == 1 and n > 2:
+        raise PreconditionError(
+            f"the only connected 1-regular graph is K2, got n={n}")
     rng = random.Random(seed)
     stubs_template = [v for v in range(n) for _ in range(degree)]
     for _ in range(max_attempts):
         stubs = stubs_template[:]
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if not ok:
-            continue
-        g = Graph(n, edges)
-        if g.connected:
-            return g
+        edges = {(min(e), max(e)) for e in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * degree // 2 and all(u < v for u, v in edges):
+            g = Graph(n, edges)
+            if g.connected:
+                return g
     raise GiveUpError(
         f"no simple connected {degree}-regular graph on {n} vertices "
         f"after {max_attempts} pairing attempts")
 
 
+# family -> (the GraphFamilySpec fields it requires, builder from the spec)
+_FAMILIES = {
+    "petersen": ((), lambda s: petersen()),
+    "heawood": ((), lambda s: heawood()),
+    "mcgee": ((), lambda s: mcgee()),
+    "complete": (("n",), lambda s: complete(s.n)),
+    "cycle": (("n",), lambda s: cycle(s.n)),
+    "path": (("n",), lambda s: path(s.n)),
+    "prism": ((), lambda s: prism(3 if s.n is None else s.n)),
+    "random_regular": (("n", "degree", "seed"),
+                       lambda s: random_regular(s.n, s.degree, s.seed)),
+    "regular_tree": (("degree", "depth"),
+                     lambda s: regular_tree(s.degree, s.depth)),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
 def named_graph(spec: GraphFamilySpec) -> Graph:
-    fam = spec.family
-    if fam == "petersen":
-        return petersen()
-    if fam == "heawood":
-        return heawood()
-    if fam == "mcgee":
-        return mcgee()
-    if fam == "complete":
-        _need(spec, "n")
-        return complete(spec.n)
-    if fam == "cycle":
-        _need(spec, "n")
-        return cycle(spec.n)
-    if fam == "path":
-        _need(spec, "n")
-        return path(spec.n)
-    if fam == "prism":
-        return prism(spec.n if spec.n is not None else 3)
-    if fam == "regular_tree":
-        _need(spec, "degree", "depth")
-        return regular_tree(spec.degree, spec.depth)
-    if fam == "random_regular":
-        _need(spec, "n", "degree", "seed")
-        return random_regular(spec.n, spec.degree, spec.seed)
-    raise PreconditionError(f"unknown family {fam!r} (known: {FAMILIES})")
-
-
-def _need(spec: GraphFamilySpec, *fields_: str):
-    for f in fields_:
+    if spec.family not in _FAMILIES:
+        raise PreconditionError(
+            f"unknown family {spec.family!r} (known: {FAMILIES})")
+    needs, build = _FAMILIES[spec.family]
+    for f in needs:
         if getattr(spec, f) is None:
             raise PreconditionError(
                 f"family {spec.family!r} requires parameter {f!r}")
+    return build(spec)

@@ -58,6 +58,25 @@ def _clique_painter_wins(tokens: tuple[int, ...]) -> bool:
     return all(f >= i for i, f in enumerate(sorted(tokens), start=1))
 
 
+def _masks(g: Graph) -> list[int]:
+    """Row v is the bitmask of v's neighbours."""
+    return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+
+
+def _peel(adj: list[int], alive: int, tokens) -> int:
+    """The alive mask left once every vertex with more tokens than
+    alive neighbours is deleted, repeatedly. A deletion lowers only its
+    neighbours' degrees, so only they are checked again."""
+    todo = alive
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        todo ^= 1 << v
+        if tokens[v] > (adj[v] & alive).bit_count():
+            alive ^= 1 << v
+            todo |= adj[v] & alive
+    return alive
+
+
 def _is_clique(adj_masks: list[int], alive_mask: int, n: int) -> bool:
     for v in range(n):
         if alive_mask >> v & 1:
@@ -112,10 +131,7 @@ class PaintabilitySolver:
             raise CapExceededError(
                 f"total budget {budgets.total()} exceeds cap {token_cap}")
         self.n = game_graph.n
-        self.adj_masks = [0] * self.n
-        for u in range(self.n):
-            for v in game_graph.adj[u]:
-                self.adj_masks[u] |= 1 << v
+        self.adj_masks = _masks(game_graph)
         self.budgets = budgets
         self.memo = {}
 
@@ -135,7 +151,7 @@ class PaintabilitySolver:
         if self._painter_wins(alive, tuple(tokens)):
             return None
         # a reveal that wins on the peeled core wins on the full state
-        core = self._peel(alive, tokens)
+        core = _peel(self.adj_masks, alive, tokens)
         for reveal in self._reveals(core):
             if not self._painter_survives(core, tuple(tokens), reveal):
                 return {v for v in range(self.n) if reveal >> v & 1}
@@ -153,22 +169,8 @@ class PaintabilitySolver:
                 yield sub
             sub = (sub - 1) & alive
 
-    def _peel(self, alive: int, tokens: tuple[int, ...]) -> int:
-        """The alive mask left once every vertex with more tokens than
-        alive neighbours is deleted, repeatedly. A deletion lowers only
-        its neighbours' degrees, so only they are checked again."""
-        adj = self.adj_masks
-        todo = alive
-        while todo:
-            v = (todo & -todo).bit_length() - 1
-            todo ^= 1 << v
-            if tokens[v] > (adj[v] & alive).bit_count():
-                alive ^= 1 << v
-                todo |= adj[v] & alive
-        return alive
-
     def _painter_wins(self, alive: int, tokens: tuple[int, ...]) -> bool:
-        alive = self._peel(alive, tokens)
+        alive = _peel(self.adj_masks, alive, tokens)
         if alive == 0:
             return True
         alive_tokens = tuple(tokens[v] for v in range(self.n)
@@ -260,10 +262,11 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
     least t colors appear on the last vertex's neighborhood under every
     proper coloring of the prefix.
 
-    The caps apply to the input graph, which is first peeled: a vertex
-    with fewer than t kept neighbours is deleted, repeatedly, since
-    coloring the rest and then such vertices last, greedily, always
-    finds a free color in a t-list. The enumeration runs on the core.
+    The caps apply to the input graph, which is first peeled with t
+    tokens on every vertex: a vertex with fewer than t kept neighbours
+    is deleted, repeatedly, since coloring the rest and then such
+    vertices last, greedily, always finds a free color in a t-list. The
+    enumeration runs on the core.
     """
     n = game_graph.n
     if n > 8:
@@ -272,29 +275,22 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
         raise CapExceededError(f"list size {t} exceeds choosability cap 4")
     if t < 1:
         raise PreconditionError("list size must be >= 1")
-    keep = set(range(n))
-    while low := {v for v in keep
-                  if len(keep.intersection(game_graph.adj[v])) < t}:
-        keep -= low
-    if len(keep) <= 1:
+    adj = _masks(game_graph)
+    core = _peel(adj, (1 << n) - 1, [t] * n)
+    if core.bit_count() <= 1:
         return True
-    core = sorted(keep)
-    index = {v: i for i, v in enumerate(core)}
-    game_graph = Graph(len(core), [(index[u], index[v]) for u in core
-                                   for v in game_graph.adj[u] if v in index])
-    n = len(core)
 
     # Put the highest-degree vertex last: its list choice is the one
     # eliminated analytically, and prefix vertices keep graph edges early.
-    order = sorted(range(n), key=lambda v: (game_graph.degree(v), v))
+    order = sorted((v for v in range(n) if core >> v & 1),
+                   key=lambda v: ((adj[v] & core).bit_count(), v))
     last = order[-1]
     prefix = order[:-1]
     prefix_index = {v: i for i, v in enumerate(prefix)}
     earlier_nb = [[prefix_index[u] for u in game_graph.adj[v]
                    if u in prefix_index and prefix_index[u] < i]
                   for i, v in enumerate(prefix)]
-    last_neighbors = [i for i, v in enumerate(prefix)
-                      if game_graph.has_edge(v, last)]
+    last_neighbors = [i for i, v in enumerate(prefix) if adj[last] >> v & 1]
 
     lists: list[tuple[int, ...]] = [()] * len(prefix)
 

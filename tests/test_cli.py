@@ -8,7 +8,7 @@ import pytest
 
 import powerpaint
 from powerpaint import selftest
-from powerpaint.cli import main
+from powerpaint.cli import LISTERS, PAINTERS, main
 from powerpaint.game import TokenBudgets, Transcript, validate_transcript
 from powerpaint.gen_io import mcgee, parse_graph6, petersen
 from powerpaint.graph import kth_power
@@ -145,6 +145,30 @@ class TestPlay:
                              "--seed", "12", "--games", "1", "--budget", "5")
         assert code == 1, err
         assert json.loads(out)["lister_wins"] == 1
+
+    @pytest.mark.parametrize("painter,route", [
+        ("dispatch", "MainCase"), ("theorem", "MainCase"),
+        ("greedy", None), ("clique", None)])
+    @pytest.mark.parametrize("lister", ["random", "pressure"])
+    def test_every_painter_and_lister_plays(self, capsys, painter, route,
+                                            lister):
+        code, out, err = run(capsys, "play", "--family", "mcgee", "--k", "3",
+                             "--painter", painter, "--lister", lister,
+                             "--seed", "1")
+        obj = json.loads(out)
+        assert (obj["painter"], obj["lister"], obj["route"]) == (
+            painter, lister, route), err
+        assert code == (1 if obj["lister_wins"] else 0)
+
+    @pytest.mark.parametrize("flag,table", [("--painter", PAINTERS),
+                                            ("--lister", LISTERS)])
+    def test_unknown_player_lists_the_table(self, capsys, flag, table):
+        with pytest.raises(SystemExit) as e:
+            run(capsys, "play", "--family", "mcgee", "--k", "3", "--seed",
+                "1", flag, "nosuch")
+        assert e.value.code == 2
+        choices = ", ".join(repr(name) for name in table)
+        assert f"(choose from {choices})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("games", ["0", "-1"])
     def test_nonpositive_games_exits_2(self, capsys, games):

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from powerpaint.errors import GiveUpError, ParseError, PreconditionError
 from powerpaint.gen_io import (
+    FAMILIES,
     GraphFamilySpec,
     complete,
     cycle,
     heawood,
+    lcf,
     load_graph_file,
     mcgee,
     named_graph,
@@ -188,6 +190,15 @@ class TestDimacs:
             parse_dimacs("p edge 2 1\ne 1 5\n")
 
     @pytest.mark.parametrize("text,lineno", [
+        ("p edge 3 2\ne 1 2\ne 2 3\np edge 5 0\n", 4),
+        ("p edge 5 1\ne 4 5\np edge 3 0\n", 3),
+    ])
+    def test_rejects_a_second_problem_line(self, text, lineno):
+        with pytest.raises(ParseError, match=(
+                rf"^duplicate problem line .* \(line {lineno}\)$")):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize("text,lineno", [
         ("c header next\np edge x 1\n", 2),
         ("p edge 3 1\ne 1\n", 2),
         ("p edge 3 1\ne 1 x\n", 2),
@@ -261,12 +272,35 @@ class TestNamedGraphs:
         assert all(t.degree(v) == 3 for v in internal)
 
     def test_family_dispatch(self):
-        g = named_graph(GraphFamilySpec("cycle", n=5))
-        assert g == cycle(5)
-        with pytest.raises(PreconditionError):
+        assert FAMILIES == ("petersen", "heawood", "mcgee", "complete",
+                            "cycle", "path", "prism", "random_regular",
+                            "regular_tree")
+        required = {"n": 5, "degree": 2, "depth": 2, "seed": 0}
+        for family in FAMILIES:
+            g = named_graph(GraphFamilySpec(family, **required))
+            assert g.n >= 5 and g.connected, family
+        assert named_graph(GraphFamilySpec("cycle", n=5)) == cycle(5)
+        assert named_graph(GraphFamilySpec("prism")) == prism(3)
+        assert named_graph(GraphFamilySpec("prism", n=4)) == prism(4)
+        assert named_graph(GraphFamilySpec("mcgee")) == mcgee()
+        with pytest.raises(PreconditionError, match=(
+                r"^unknown family 'nosuch' \(known: \('petersen', "
+                r"'heawood', .*'regular_tree'\)\)$")):
             named_graph(GraphFamilySpec("nosuch"))
-        with pytest.raises(PreconditionError):
-            named_graph(GraphFamilySpec("complete"))  # missing n
+        with pytest.raises(PreconditionError, match=(
+                "^family 'complete' requires parameter 'n'$")):
+            named_graph(GraphFamilySpec("complete"))
+        with pytest.raises(PreconditionError, match=(
+                "^family 'random_regular' requires parameter 'seed'$")):
+            named_graph(GraphFamilySpec("random_regular", n=6, degree=3))
+        with pytest.raises(PreconditionError, match=(
+                "^family 'regular_tree' requires parameter 'degree'$")):
+            named_graph(GraphFamilySpec("regular_tree"))
+
+    def test_lcf_single_shift_is_k33(self):
+        # [3]^6 joins each vertex to the three of opposite parity
+        assert lcf([3], 6) == Graph(6, [(u, v) for u in range(0, 6, 2)
+                                        for v in range(1, 6, 2)])
 
 
 class TestRandomRegular:
@@ -293,6 +327,12 @@ class TestRandomRegular:
     def test_too_few_vertices(self):
         with pytest.raises(PreconditionError):
             random_regular(3, 3, 0)
+
+    def test_one_regular_is_only_k2(self):
+        with pytest.raises(PreconditionError):
+            random_regular(4, 1, 0)
+        for seed in range(5):
+            assert random_regular(2, 1, seed) == complete(2)
 
     def test_give_up(self):
         with pytest.raises(GiveUpError):

@@ -17,7 +17,7 @@ import pytest
 
 from powerpaint import graph, painters
 from powerpaint.errors import PowerPaintError
-from powerpaint.gen_io import (heawood, mcgee, petersen, random_regular,
+from powerpaint.gen_io import (heawood, lcf, mcgee, petersen, random_regular,
                                write_graph6)
 from powerpaint.graph import (
     CaseLabel,
@@ -35,13 +35,6 @@ KS = (3, 4, 5)
 
 TUTTE_COXETER_LCF = ([-13, -9, 7, -7, 9, 13], 5)
 FOSTER_LCF = ([17, -9, 37, -37, 9, -17], 15)
-
-
-def lcf(shifts, reps) -> Graph:
-    """Cubic Hamiltonian graph from LCF notation ``shifts^reps``."""
-    n = len(shifts) * reps
-    return Graph(n, [(i, j) for i in range(n)
-                     for j in ((i + 1) % n, (i + shifts[i % len(shifts)]) % n)])
 
 
 def foster_lift(fold: int, seed: int) -> Graph:

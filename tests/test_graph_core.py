@@ -16,6 +16,7 @@ from powerpaint.gen_io import (
     complete,
     cycle,
     heawood,
+    lcf,
     mcgee,
     path,
     petersen,
@@ -36,7 +37,7 @@ from powerpaint.graph import (
     shortest_cycle,
     structural_report,
 )
-from test_golden_analysis import FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF, lcf
+from test_golden_analysis import FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF
 
 
 def to_nx(g: Graph) -> nx.Graph:
