@@ -5,7 +5,6 @@ strategies, verified against an exact game-tree oracle at small scale.
 
 from .errors import (
     CapExceededError,
-    CycleCapError,
     GiveUpError,
     GraphConstructionError,
     IllegalListerMove,
@@ -63,7 +62,6 @@ from .painters import (
     main_theorem_painter,
 )
 from .oracle import (
-    greedy_color,
     oracle_lister,
     solve_choosability,
     solve_paintability,

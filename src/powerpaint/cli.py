@@ -205,10 +205,7 @@ def main(argv=None) -> int:
     except StrategyInvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PowerPaintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PowerPaintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

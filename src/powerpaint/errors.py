@@ -32,11 +32,9 @@ class GiveUpError(PowerPaintError):
 
 
 class CapExceededError(PowerPaintError):
-    """An exact-search input exceeds the configured size caps."""
-
-
-class CycleCapError(PowerPaintError):
-    """Cycle enumeration exceeded the configured cycle-count cap."""
+    """An input exceeds a fixed size cap: the exact oracles' vertex,
+    token and list-size caps, or the cycle-count cap of
+    ``enumerate_cycles``."""
 
 
 class IllegalListerMove(PowerPaintError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import (
-    CycleCapError,
+    CapExceededError,
     GraphConstructionError,
     NoFrameError,
     PreconditionError,
@@ -293,12 +293,6 @@ def _cycles(g: Graph, length: int):
                 yield path + [v]
 
 
-def shortest_cycle(g: Graph) -> Optional[list[int]]:
-    """A witness cycle of length girth(g), as a vertex sequence."""
-    gg = girth(g)
-    return None if gg is None else next(_cycles(g, gg))
-
-
 def enumerate_cycles(g: Graph, length: int) -> list[list[int]]:
     """All simple cycles of exactly ``length`` vertices, each reported
     once up to rotation/reflection, in the canonical form of
@@ -310,7 +304,7 @@ def enumerate_cycles(g: Graph, length: int) -> list[list[int]]:
     for c in _cycles(g, length):
         found.append(c)
         if len(found) > cap:
-            raise CycleCapError(f"more than {cap} cycles of length {length}")
+            raise CapExceededError(f"more than {cap} cycles of length {length}")
     return found
 
 
@@ -481,7 +475,7 @@ def find_special_frame(g: Graph, k: int,
     Scans (x1,y1) pairs in lexicographic order, then neighbor pairs
     (x2,y2) in id order, accepting the first pair at mutual distance
     >= k+1. v sits at distance exactly 2 from x1 on the path; w is v's
-    path neighbor toward y1 unless that vertex is x2 or y2. ``label``
+    path neighbor toward y1 unless that vertex is y2. ``label``
     is the case label of (g, k) when the caller already has it.
     """
     if k < 3:
@@ -510,12 +504,11 @@ def _build_frame(g: Graph, k: int, x1: int, x2: int, y1: int,
     path = _lex_least_shortest_path(g, x1, y1)
     v = path[2]
     after, before = path[3], path[1]
-    if after not in (x2, y2):
-        w = after
-    elif before not in (x2, y2):
-        w = before
-    else:
-        raise NoFrameError("both path neighbors of v collide with x2/y2")
+    # path[i] is at distance i from x1, so after (3) is never x2 (1) and
+    # before (1) is never y2 (>= k). after is y2 only when k = 3, and then
+    # before is not x2: y2 would lie at distance 2 from x2, inside the
+    # radius-k ball the frame search excludes.
+    w = after if after != y2 else before
     order = distance_order(g, (v, w), head=(x1, x2, y1, y2), tail=(w, v))
     frame = SpecialFrame(x1=x1, x2=x2, y1=y1, y2=y2, path=tuple(path),
                          v=v, w=w, order=order)

@@ -1,15 +1,10 @@
 """Ground truth at desk scale: exact paintability by memoized game-tree
 search (with degree peeling and a closed-form fast path for clique
-states), brute-force choosability on the peeled core, and a greedy
-coloring baseline.
-
-Caps may be overridden with the POWERPAINT_CAPS environment variable,
-formatted "vertices,total_tokens" (e.g. "14,160").
+states), and brute-force choosability on the peeled core.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from typing import Optional
 
@@ -22,25 +17,6 @@ LISTER = "lister"
 
 DEFAULT_VERTEX_CAP = 12
 DEFAULT_TOKEN_CAP = 128
-
-
-def _caps():
-    vertex_cap, token_cap = DEFAULT_VERTEX_CAP, DEFAULT_TOKEN_CAP
-    env = os.environ.get("POWERPAINT_CAPS")
-    if env:
-        parts = env.split(",")
-        try:
-            if len(parts) > 2:
-                raise ValueError(env)
-            if parts[0].strip():
-                vertex_cap = int(parts[0])
-            if len(parts) >= 2 and parts[1].strip():
-                token_cap = int(parts[1])
-        except ValueError:
-            raise PreconditionError(
-                f"POWERPAINT_CAPS must be 'vertices,total_tokens', "
-                f"got {env!r}") from None
-    return vertex_cap, token_cap
 
 
 def _clique_painter_wins(tokens: tuple[int, ...]) -> bool:
@@ -123,13 +99,12 @@ class PaintabilitySolver:
     def __init__(self, game_graph: Graph, budgets: TokenBudgets):
         if len(budgets) != game_graph.n:
             raise PowerPaintError("budget length does not match vertex count")
-        vertex_cap, token_cap = _caps()
-        if game_graph.n > vertex_cap:
+        if game_graph.n > DEFAULT_VERTEX_CAP:
             raise CapExceededError(
-                f"{game_graph.n} vertices exceeds cap {vertex_cap}")
-        if budgets.total() > token_cap:
+                f"{game_graph.n} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
+        if budgets.total() > DEFAULT_TOKEN_CAP:
             raise CapExceededError(
-                f"total budget {budgets.total()} exceeds cap {token_cap}")
+                f"total budget {budgets.total()} exceeds cap {DEFAULT_TOKEN_CAP}")
         self.n = game_graph.n
         self.adj_masks = _masks(game_graph)
         self.budgets = budgets
@@ -335,18 +310,3 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
         return True
 
     return assign(0, 0)
-
-
-def greedy_color(game_graph: Graph, order) -> dict[int, int]:
-    """First-fit proper coloring along the order; colors are positive
-    integers, at most max degree + 1 of them."""
-    if sorted(order) != list(range(game_graph.n)):
-        raise PreconditionError("order must be a permutation of 0..n-1")
-    coloring: dict[int, int] = {}
-    for u in order:
-        taken = {coloring[v] for v in game_graph.adj[u] if v in coloring}
-        c = 1
-        while c in taken:
-            c += 1
-        coloring[u] = c
-    return coloring

@@ -7,7 +7,7 @@ import networkx as nx
 
 from powerpaint import graph
 from powerpaint.errors import (
-    CycleCapError,
+    CapExceededError,
     GraphConstructionError,
     NoFrameError,
     PreconditionError,
@@ -34,7 +34,6 @@ from powerpaint.graph import (
     find_special_frame,
     girth,
     kth_power,
-    shortest_cycle,
     structural_report,
 )
 from test_golden_analysis import FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF
@@ -294,13 +293,13 @@ class TestStructuralReport:
     def test_cycle_cap(self, monkeypatch):
         assert len(enumerate_cycles(complete(6), 3)) == 20
         monkeypatch.setattr(graph, "DEFAULT_CYCLE_CAP", 5)
-        with pytest.raises(CycleCapError):
+        with pytest.raises(CapExceededError):
             enumerate_cycles(complete(6), 3)
 
     def test_shortest_cycle_witness(self):
-        c = shortest_cycle(petersen())
-        assert len(c) == 5
         g = petersen()
+        c = classify(g, 3).short_cycle
+        assert len(c) == 5
         for i in range(5):
             assert g.has_edge(c[i], c[(i + 1) % 5])
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from powerpaint.errors import (CapExceededError, PowerPaintError,
-                               PreconditionError)
+from powerpaint import oracle
+from powerpaint.errors import CapExceededError, PowerPaintError
 from powerpaint.game import TokenBudgets
 from powerpaint.gen_io import complete, cycle, path, petersen, prism
 from powerpaint.graph import Graph, kth_power
@@ -15,7 +15,6 @@ from powerpaint.oracle import (
     _clique_painter_wins,
     _masks,
     _peel,
-    greedy_color,
     solve_choosability,
     solve_paintability,
 )
@@ -101,15 +100,16 @@ class TestPaintability:
             solve_paintability(g, uni(13, 2))
 
     def test_caps_env_override(self, monkeypatch):
-        monkeypatch.setenv("POWERPAINT_CAPS", "13,128")
+        monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 13)
         g = cycle(13)
         assert solve_paintability(g, uni(13, 2)) == LISTER
 
-    @pytest.mark.parametrize("env", ["12,128,7", "5,,9"])
-    def test_caps_env_with_extra_fields_rejected(self, monkeypatch, env):
-        monkeypatch.setenv("POWERPAINT_CAPS", env)
-        with pytest.raises(PreconditionError, match="POWERPAINT_CAPS"):
-            solve_paintability(cycle(5), uni(5, 2))
+    def test_token_cap_boundary(self):
+        with pytest.raises(CapExceededError,
+                           match="^total budget 132 exceeds cap 128$"):
+            solve_paintability(complete(11), uni(11, 12))
+        assert solve_paintability(cycle(8), uni(8, 16)) == PAINTER
+        assert solve_paintability(path(12), uni(12, 2)) == PAINTER
 
     def test_winning_reveal_reported(self):
         g = cycle(5)
@@ -368,25 +368,3 @@ class TestChoosability:
             solve_choosability(cycle(9), 3)  # every vertex would peel
         with pytest.raises(CapExceededError):
             solve_choosability(cycle(4), 5)
-
-
-class TestGreedyColor:
-    def test_triangle_needs_three(self):
-        col = greedy_color(complete(3), [0, 1, 2])
-        assert sorted(col.values()) == [1, 2, 3]
-
-    def test_petersen_squared_needs_ten(self):
-        k10 = kth_power(petersen(), 2)
-        col = greedy_color(k10, list(range(10)))
-        assert len(set(col.values())) == 10
-
-    def test_proper_and_within_bound(self):
-        from powerpaint.gen_io import mcgee
-        from powerpaint.painters import dispatch_painter
-        g = mcgee()
-        _, _, order = dispatch_painter(g, 3)
-        g3 = kth_power(g, 3)
-        col = greedy_color(g3, list(order))
-        assert max(col.values()) <= 21 + 1
-        for u, v in g3.edges():
-            assert col[u] != col[v]
