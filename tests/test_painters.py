@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from powerpaint.gen_io import (
     complete,
     cycle,
     heawood,
+    lcf,
     mcgee,
     petersen,
     random_regular,
@@ -30,12 +32,62 @@ from powerpaint.painters import (
     greedy_scan_painter,
     main_theorem_painter,
 )
-from test_golden_analysis import GRAPHS, KS, foster_lift
+from test_golden_analysis import FOSTER_LCF, GRAPHS, KS, foster_lift
 from test_oracle import _raw_minimax
 
 
 def fresh_state(budgets):
     return GameState(budgets)
+
+
+class ScriptLister:
+    """Reveals the alive part of each scripted set in turn, skipping a
+    set with nothing alive; once the script is spent, the alive set."""
+
+    def __init__(self, name, script):
+        self.name, self.script = name, script
+
+    def reset(self):
+        self.rest = iter(self.script)
+
+    def choose_reveal(self, state, game_graph):
+        for s in self.rest:
+            if state.alive & s:
+                return state.alive & s
+        return set(state.alive)
+
+
+def late_vertex_attacks(f, game_graph):
+    """Reveal sequences aimed at the late vertex t = v or w, each with x1
+    and y1 in both roles (a first, b last): {t, a}; {t, u, b} for each
+    G^k-neighbor u of t outside the frame; then three rounds that end on
+    {t, b}. t loses a token in every round, D - 1 in all."""
+    others = {t: sorted(set(game_graph.adj[t]) - {
+        f.x1, f.x2, f.y1, f.y2, f.v, f.w}) for t in (f.v, f.w)}
+    attacks = []
+    for a, b in ((f.x1, f.y1), (f.y1, f.x1)):
+        for t, tail in ((f.v, [{f.x2, f.y2, b}, {f.w, b}, {b}]),
+                        (f.w, [{f.x2, b}, {f.y2, b}, {b}])):
+            script = ([{t, a}] + [{t, u, b} for u in others[t]]
+                      + [{t} | s for s in tail])
+            attacks.append(ScriptLister(f"attack_{t}_{a}", script))
+    return attacks
+
+
+def drains(f, game_graph):
+    """For z = x2 and z = y2: {v, z, u} for each G^k-neighbor u of v
+    outside the frame, then {v, z}, so z's last-chance rule fires."""
+    others = sorted(set(game_graph.adj[f.v]) - {
+        f.x1, f.x2, f.y1, f.y2, f.w})
+    return [ScriptLister(f"drain_{z}", [{f.v, z, u} for u in others]
+                         + [{f.v, z}]) for z in (f.x2, f.y2)]
+
+
+def game_record(game_graph, budgets, lister, painter):
+    try:
+        return play_game(game_graph, budgets, lister, painter).to_json()
+    except StrategyInvariantViolation as exc:
+        return f"raised: {exc}"
 
 
 class TestGreedyScan:
@@ -152,6 +204,23 @@ class TestTheoremPainter:
                 raised = True
                 break
         assert raised
+
+    def test_decisions_pinned(self):
+        # One digest over the main painter's games on McGee^3 and Foster^4
+        # at M - 1 tokens: any change to a decision or a raise shows here.
+        h = hashlib.md5()
+        for g, k in ((mcgee(), 3), (lcf(*FOSTER_LCF), 4)):
+            painter, _, _ = dispatch_painter(g, k)
+            game_graph = kth_power(g, k)
+            budgets = TokenBudgets.uniform(g.n, painter.M - 1)
+            listers = ([random_lister(s) for s in range(50)]
+                       + [pressure_lister()]
+                       + late_vertex_attacks(painter.frame, game_graph)
+                       + drains(painter.frame, game_graph))
+            for lister in listers:
+                h.update(game_record(game_graph, budgets, lister,
+                                     painter).encode() + b"\n")
+        assert h.hexdigest() == "788e17fd78bf4eca23bfb1a1a04ab97c"
 
     def test_frame_vertices_colored_before_exhaustion(self):
         g = mcgee()
