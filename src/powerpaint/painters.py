@@ -100,11 +100,27 @@ class TheoremPainter:
     (see ``classify``), with uniform budgets M-1, M the degree bound.
     ``label`` is the case label of (g, k) when the caller already has it.
 
-    Per round, four frame vertices x1,x2,y1,y2 are handled by priority
-    rules that steer their colors away from the lists of the two late
-    vertices v and w; everything else is colored by the greedy scan in
-    the frame order, which starts with the frame four and ends with w
-    then v. ``certify`` proves that scan for every vertex but v and w.
+    Each round colors the frame four first, by one rule over two rows
+    (pair, steer, last). A pair's free vertices are its revealed ones
+    with no game-graph neighbor colored this round. If both are free,
+    color both; if one, z, is free, color it when steer holds (z's color
+    is then missing from the list of v or w) or when this is z's
+    last-th uncolored reveal. In the paper's numbering:
+
+    - row 1: (x1, y1), steer (NO_v = 0 and v not revealed) or (NO_w = 0
+      and w not revealed), last M - 2: rules (i), (ii)/(iii), (iv);
+    - row 2: (x2, y2), steer v not revealed, last M - 4: rules (v),
+      (vi), (vii).
+
+    This is the seven rules exactly. A pair is never adjacent in G^k
+    (x1, y1 are at distance k + 1 and y2 is outside x2's radius-k ball;
+    ``_check_frame`` checks both), so coloring both is legal, and
+    otherwise at most one vertex is free: (ii) then (iii) is one
+    disjunction. Row 1 runs before anything is colored.
+
+    Everything else is colored by the greedy scan in the frame order,
+    which starts with the frame four and ends with w then v. ``certify``
+    proves that scan for every vertex but v and w.
     """
 
     name = "theorem"
@@ -120,89 +136,43 @@ class TheoremPainter:
         self.reset()
 
     def reset(self):
-        self.no_v = 0
-        self.no_w = 0
-
-    # -- helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _live_in(pair, revealed, colored):
-        return [z for z in pair if z in revealed and z not in colored]
-
-    # -- the strategy -----------------------------------------------------
+        self.no_v = self.no_w = 0
 
     def choose_colors(self, state: GameState, game_graph: Graph,
                       revealed: set[int]) -> set[int]:
         f = self.frame
-        M = self.M
         adj = game_graph.adj
         colored: set[int] = set()
-        v_in_s = f.v in revealed
-        w_in_s = f.w in revealed
-        x1y1 = (f.x1, f.y1)
-        x2y2 = (f.x2, f.y2)
-
-        # (i) both ends revealed: color both (they are non-adjacent in G^k).
-        live1 = self._live_in(x1y1, revealed, colored)
-        if len(live1) == 2:
-            colored.update(live1)
-        else:
-            # (ii)/(iii) steer x1/y1 onto a color missing from L(v)/L(w).
-            if live1 and self.no_v == 0 and not v_in_s:
-                colored.add(live1[0])
-            live1 = self._live_in(x1y1, revealed, colored)
-            if live1 and self.no_w == 0 and not w_in_s:
-                colored.add(live1[0])
-            # (iv) last-chance coloring of x1/y1: budget minus tokens
-            # counts the earlier uncolored reveals, + 1 this one.
-            for z in self._live_in(x1y1, revealed, colored):
-                if state.budgets[z] - state.tokens[z] + 1 >= M - 2:
+        v_out = f.v not in revealed
+        rows = (((f.x1, f.y1), (self.no_v == 0 and v_out)
+                 or (self.no_w == 0 and f.w not in revealed), self.M - 2),
+                ((f.x2, f.y2), v_out, self.M - 4))
+        for pair, steer, last in rows:
+            free = [z for z in pair
+                    if z in revealed and colored.isdisjoint(adj[z])]
+            if len(free) == 2:
+                colored.update(free)
+            elif free:
+                z = free[0]
+                # budgets - tokens counts z's earlier uncolored reveals.
+                if steer or state.budgets[z] - state.tokens[z] + 1 >= last:
                     colored.add(z)
-
-        # (v) both of x2,y2 revealed and free of same-round conflicts.
-        live2 = self._live_in(x2y2, revealed, colored)
-        if (len(live2) == 2
-                and colored.isdisjoint(adj[f.x2])
-                and colored.isdisjoint(adj[f.y2])):
-            colored.update(live2)
-        else:
-            # (vi) color x2/y2 on a color missing from L(v).
-            if not v_in_s:
-                for z in self._live_in(x2y2, revealed, colored):
-                    if colored.isdisjoint(adj[z]):
-                        colored.add(z)
-            # (vii) last-chance coloring of x2/y2.
-            for z in self._live_in(x2y2, revealed, colored):
-                if (state.budgets[z] - state.tokens[z] + 1 >= M - 4
-                        and colored.isdisjoint(adj[z])):
-                    colored.add(z)
-
-        # Greedy scan over everything but the frame four; w then v last.
         _scan(f.order, adj, revealed, colored, skip=f.frame_vertices())
 
-        self._update_counters(state, revealed, colored)
-        self._check_tokens(state, revealed, colored)
-        return colored
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def _update_counters(self, state, revealed, colored):
-        f = self.frame
-        hits = sum(1 for z in (f.x1, f.y1) if z in colored)
+        hits = (f.x1 in colored) + (f.y1 in colored)
         if hits:
-            self.no_v += hits - (1 if f.v in revealed else 0)
-            self.no_w += hits - (1 if f.w in revealed else 0)
+            self.no_v += hits - (not v_out)
+            self.no_w += hits - (f.w in revealed)
         if not (0 <= self.no_v <= 2 and 0 <= self.no_w <= 2):
             raise StrategyInvariantViolation(
                 f"NO counters left range: NO_v={self.no_v} NO_w={self.no_w} "
                 f"round {state.round}")
-
-    def _check_tokens(self, state, revealed, colored):
         for z in revealed - colored:
             if state.tokens[z] == 1:
                 raise StrategyInvariantViolation(
                     f"vertex {z} exhausts its budget uncolored in round "
                     f"{state.round}")
+        return colored
 
 
 def main_theorem_painter(g: Graph, k: int, **kwargs) -> TheoremPainter:
