@@ -1,6 +1,9 @@
 """Graph powers, the Brooks-style degree bound for them, and the online
-list-coloring (Lister/Painter) game with never-losing Painter
-strategies, verified against an exact game-tree oracle at small scale.
+list-coloring (Lister/Painter) game with a Painter strategy for each
+case of the analysis. ``certify`` proves every fallback route, and the
+main-case scan for every vertex but v and w; the main case's frame
+rules are only tested, against the listers here. An exact game-tree
+oracle is the ground truth at small scale.
 """
 
 from .errors import (

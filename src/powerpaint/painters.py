@@ -1,11 +1,9 @@
-"""Painter strategies: the main strategy built around the special
-frame and its priority rules, the distance-order greedy scan that
-powers the fallback cases, the clique strategy, and a dispatcher that
-routes a graph through the full case analysis.
-
-Every painter plays the game it is handed: conflicts are judged in the
-``game_graph`` passed to ``choose_colors`` and token counts are read
-from the ``GameState``.
+"""Painter strategies: the main-case strategy on the special frame, the
+distance-order greedy scan of the fallback cases, the clique strategy,
+and a dispatcher that routes a graph through the case analysis. Every
+painter plays the game it is handed: conflicts are judged in the
+``game_graph`` passed to ``choose_colors``, token counts read from the
+``GameState``.
 """
 
 from __future__ import annotations
@@ -100,27 +98,33 @@ class TheoremPainter:
     (see ``classify``), with uniform budgets M-1, M the degree bound.
     ``label`` is the case label of (g, k) when the caller already has it.
 
-    Each round colors the frame four first, by one rule over two rows
-    (pair, steer, last). A pair's free vertices are its revealed ones
-    with no game-graph neighbor colored this round. If both are free,
-    color both; if one, z, is free, color it when steer holds (z's color
-    is then missing from the list of v or w) or when this is z's
-    last-th uncolored reveal. In the paper's numbering:
+    The greedy scan in the frame order (ending w, v) colors all but the
+    frame four; ``certify`` proves it for all but v and w. With up to M
+    and M - 1 earlier neighbors, v needs two savings and w one: neighbors
+    not colored in a v-round (w-round) of their own.
+
+    The frame four go first, by one rule over two rows (pair, steer,
+    last). A pair's free vertices are its revealed ones with no neighbor
+    colored this round. Both free: color both. One free, z: color it if
+    steer holds (z's color is then missing from v's or w's list) or if
+    z has at most ``M - last`` tokens. In the paper's numbering:
 
     - row 1: (x1, y1), steer (NO_v = 0 and v not revealed) or (NO_w = 0
-      and w not revealed), last M - 2: rules (i), (ii)/(iii), (iv);
-    - row 2: (x2, y2), steer v not revealed, last M - 4: rules (v),
-      (vi), (vii).
+      and w not revealed), last M - 1: rules (i), (ii)/(iii), (iv);
+    - row 2: (x2, y2), steer v not revealed, last M - 4: (v)-(vii).
 
-    This is the seven rules exactly. A pair is never adjacent in G^k
-    (x1, y1 are at distance k + 1 and y2 is outside x2's radius-k ball;
-    ``_check_frame`` checks both), so coloring both is legal, and
-    otherwise at most one vertex is free: (ii) then (iii) is one
-    disjunction. Row 1 runs before anything is colored.
+    That is the seven rules exactly: a pair is never adjacent in G^k (x1,
+    y1 at distance k + 1, y2 outside x2's radius-k ball; ``_check_frame``
+    checks both), so coloring both is legal, otherwise at most one is
+    free and (ii) then (iii) is one disjunction; row 1 sees no colors.
 
-    Everything else is colored by the greedy scan in the frame order,
-    which starts with the frame four and ends with w then v. ``certify``
-    proves that scan for every vertex but v and w.
+    Why M - 1, z's last token: (x2, y2) gives v one saving, so (x1, y1)
+    must give the other. At M - 2 a lister revealing {v, x1}, then y1 with
+    v each round, drains y1 by (iv) within the M - 3 v-rounds left, and v
+    starves in round M - 1 (likewise w). At M - 1 that takes M - 2 rounds,
+    one too many, and y1 is still colored on its last token. This argues
+    the case for the known sequences (``tests/test_painters.py``); it
+    does not prove a win against every lister.
     """
 
     name = "theorem"
@@ -145,7 +149,7 @@ class TheoremPainter:
         colored: set[int] = set()
         v_out = f.v not in revealed
         rows = (((f.x1, f.y1), (self.no_v == 0 and v_out)
-                 or (self.no_w == 0 and f.w not in revealed), self.M - 2),
+                 or (self.no_w == 0 and f.w not in revealed), self.M - 1),
                 ((f.x2, f.y2), v_out, self.M - 4))
         for pair, steer, last in rows:
             free = [z for z in pair

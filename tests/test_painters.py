@@ -32,7 +32,8 @@ from powerpaint.painters import (
     greedy_scan_painter,
     main_theorem_painter,
 )
-from test_golden_analysis import FOSTER_LCF, GRAPHS, KS, foster_lift
+from test_golden_analysis import (FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF,
+                                  foster_lift)
 from test_oracle import _raw_minimax
 
 
@@ -174,8 +175,11 @@ class TestTheoremPainter:
         painter = main_theorem_painter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-        for seed in range(50):
-            play_game(game_graph, budgets, random_lister(seed), painter)
+        listers = ([random_lister(seed) for seed in range(50)]
+                   + late_vertex_attacks(painter.frame, game_graph)
+                   + drains(painter.frame, game_graph))
+        for lister in listers:
+            play_game(game_graph, budgets, lister, painter)
             assert 0 <= painter.no_v <= 2
             assert 0 <= painter.no_w <= 2
 
@@ -205,6 +209,22 @@ class TestTheoremPainter:
                 break
         assert raised
 
+    @pytest.mark.parametrize("builder,k", [
+        (mcgee, 3), (lambda: lcf(*TUTTE_COXETER_LCF), 3),
+        (lambda: lcf(*FOSTER_LCF), 3), (lambda: lcf(*FOSTER_LCF), 4)],
+        ids=["mcgee3", "tutte_coxeter3", "foster3", "foster4"])
+    def test_late_vertex_attacks_lose(self, builder, k):
+        # With rule (iv) firing at M - 2 lost reveals, each of these
+        # sequences starved v or w in round D - 1.
+        g = builder()
+        painter, _, _ = dispatch_painter(g, k)
+        game_graph = kth_power(g, k)
+        budgets = TokenBudgets.uniform(g.n, painter.M - 1)
+        for lister in late_vertex_attacks(painter.frame, game_graph):
+            t = play_game(game_graph, budgets, lister, painter)
+            assert t.winner == "painter", lister.name
+            assert validate_transcript(game_graph, budgets, t) is None
+
     def test_decisions_pinned(self):
         # One digest over the main painter's games on McGee^3 and Foster^4
         # at M - 1 tokens: any change to a decision or a raise shows here.
@@ -220,7 +240,7 @@ class TestTheoremPainter:
             for lister in listers:
                 h.update(game_record(game_graph, budgets, lister,
                                      painter).encode() + b"\n")
-        assert h.hexdigest() == "788e17fd78bf4eca23bfb1a1a04ab97c"
+        assert h.hexdigest() == "3758a03d524a423ec01c0c736196423d"
 
     def test_frame_vertices_colored_before_exhaustion(self):
         g = mcgee()
@@ -228,8 +248,11 @@ class TestTheoremPainter:
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
         f = painter.frame
-        for seed in range(100):
-            t = play_game(game_graph, budgets, random_lister(seed), painter)
+        listers = ([random_lister(seed) for seed in range(100)]
+                   + late_vertex_attacks(f, game_graph)
+                   + drains(f, game_graph))
+        for lister in listers:
+            t = play_game(game_graph, budgets, lister, painter)
             colored_round = {}
             revealed_uncolored = {z: 0 for z in f.frame_vertices()}
             for r in t.rounds:
