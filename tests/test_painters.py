@@ -58,30 +58,31 @@ class ScriptLister:
         return set(state.alive)
 
 
+def outside_frame(f, game_graph, t):
+    """t's G^k-neighbors other than x1, x2, y1, y2, v and w, by id."""
+    return sorted(set(game_graph.adj[t]) - {f.x1, f.x2, f.y1, f.y2, f.v, f.w})
+
+
 def late_vertex_attacks(f, game_graph):
     """Reveal sequences aimed at the late vertex t = v or w, each with x1
-    and y1 in both roles (a first, b last): {t, a}; {t, u, b} for each
-    G^k-neighbor u of t outside the frame; then three rounds that end on
-    {t, b}. t loses a token in every round, D - 1 in all."""
-    others = {t: sorted(set(game_graph.adj[t]) - {
-        f.x1, f.x2, f.y1, f.y2, f.v, f.w}) for t in (f.v, f.w)}
+    and y1 in both roles (a first, b last): {t, a}; {t, u, b} for each u
+    outside the frame; then three rounds that end on {t, b}. t loses a
+    token in every round, D - 1 in all."""
     attacks = []
     for a, b in ((f.x1, f.y1), (f.y1, f.x1)):
         for t, tail in ((f.v, [{f.x2, f.y2, b}, {f.w, b}, {b}]),
                         (f.w, [{f.x2, b}, {f.y2, b}, {b}])):
-            script = ([{t, a}] + [{t, u, b} for u in others[t]]
-                      + [{t} | s for s in tail])
+            script = ([{t, a}] + [{t, u, b} for u in outside_frame(
+                f, game_graph, t)] + [{t} | s for s in tail])
             attacks.append(ScriptLister(f"attack_{t}_{a}", script))
     return attacks
 
 
 def drains(f, game_graph):
-    """For z = x2 and z = y2: {v, z, u} for each G^k-neighbor u of v
-    outside the frame, then {v, z}, so z's last-chance rule fires."""
-    others = sorted(set(game_graph.adj[f.v]) - {
-        f.x1, f.x2, f.y1, f.y2, f.w})
-    return [ScriptLister(f"drain_{z}", [{f.v, z, u} for u in others]
-                         + [{f.v, z}]) for z in (f.x2, f.y2)]
+    """For z = x2 and z = y2: {v, z, u} for each u outside the frame,
+    then {v, z}, so z's last-chance rule fires."""
+    return [ScriptLister(f"drain_{z}", [{f.v, z, u} for u in outside_frame(
+        f, game_graph, f.v)] + [{f.v, z}]) for z in (f.x2, f.y2)]
 
 
 def game_record(game_graph, budgets, lister, painter):
@@ -214,8 +215,8 @@ class TestTheoremPainter:
         (lambda: lcf(*FOSTER_LCF), 3), (lambda: lcf(*FOSTER_LCF), 4)],
         ids=["mcgee3", "tutte_coxeter3", "foster3", "foster4"])
     def test_late_vertex_attacks_lose(self, builder, k):
-        # With rule (iv) firing at M - 2 lost reveals, each of these
-        # sequences starved v or w in round D - 1.
+        # Rule (iv) firing one reveal before the last token let each of
+        # these sequences starve v or w in round D - 1.
         g = builder()
         painter, _, _ = dispatch_painter(g, k)
         game_graph = kth_power(g, k)
