@@ -111,18 +111,34 @@ class Transcript:
             k=h.get("k"),
         )
         t.rounds = [
-            Round(index=r["round"], revealed=tuple(r["revealed"]),
-                  colored=tuple(r["colored"]))
+            Round(index=_int(r["round"], "round"),
+                  revealed=tuple(_int(v, "vertex") for v in r["revealed"]),
+                  colored=tuple(_int(v, "vertex") for v in r["colored"]))
             for r in obj["rounds"]
         ]
         t.winner = obj["winner"]
-        t.loser_vertex = obj.get("loser_vertex")
+        loser = obj.get("loser_vertex")
+        t.loser_vertex = None if loser is None else _int(loser, "vertex")
         return t
 
 
+def _int(x, what: str) -> int:
+    """A vertex id or round index read from a transcript. JSON numbers
+    such as 0.0 or true compare equal to ints, so they would pass the
+    replay's set checks and fail later with a TypeError."""
+    if type(x) is not int:
+        raise PowerPaintError(f"transcript {what} {x!r} is not an integer")
+    return x
+
+
 def _is_independent(game_graph: Graph, vs: set[int]) -> bool:
-    """No two vertices of ``vs`` are adjacent: O(sum of their degrees)."""
-    return all(vs.isdisjoint(game_graph.adj[v]) for v in vs)
+    """No two vertices of ``vs`` are adjacent: no vertex of ``vs`` is in
+    the OR of their neighbor masks."""
+    masks = game_graph.masks
+    block = 0
+    for v in vs:
+        block |= masks[v]
+    return not any(block >> v & 1 for v in vs)
 
 
 def _check_reveal(state: GameState, revealed: set[int]) -> None:
@@ -242,8 +258,9 @@ class RandomLister:
 
     def choose_reveal(self, state: GameState, game_graph: Graph) -> set[int]:
         alive = sorted(state.alive)
+        rand = self.rng.random
         while True:
-            picked = {v for v in alive if self.rng.random() < 0.5}
+            picked = {v for v in alive if rand() < 0.5}
             if picked:
                 return picked
 

@@ -3,9 +3,9 @@ painter strategies rely on: graph powers, girth, diameter, 2k-cycle
 enumeration, case classification and the special frame used by the
 main strategy.
 
-Local metric queries (powers, cycle pruning, frames, orders) are
-depth-bounded BFS balls (``ball``) of radius at most k+1 around the
-vertices they concern. The two whole-graph metrics, ``girth`` and
+Local metric queries (cycle pruning, frames, orders) are depth-bounded
+BFS balls (``ball``) of radius at most k+1 around the vertices they
+concern. Powers and the two whole-graph metrics, ``girth`` and
 ``diameter``, grow every vertex's ball at once, as bitsets, and
 ``classify`` computes only the facts that decide its label.
 """
@@ -31,11 +31,15 @@ DEFAULT_CYCLE_CAP = 10 ** 6
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored as sorted tuples. Construction validates
-    simplicity and symmetry; connectivity is recorded in ``connected``.
+    Adjacency is stored as sorted tuples in ``adj`` and as bitmasks in
+    ``masks``: bit u of ``masks[v]`` is set iff u is a neighbor of v, so
+    "has v a neighbor in the set S" is one AND. The masks take at most
+    n²/8 bytes, the same order as the transient bitsets of ``girth``
+    and ``diameter``. Construction validates simplicity and symmetry;
+    connectivity is recorded in ``connected``.
     """
 
-    __slots__ = ("n", "adj", "connected")
+    __slots__ = ("n", "adj", "masks", "connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -56,6 +60,7 @@ class Graph:
             raise GraphConstructionError(f"malformed edge {edge!r}") from exc
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
+        self.masks = tuple(sum(1 << u for u in s) for s in neigh)
         self.connected = len(ball(self, [0])) == n
 
     def degree(self, v: int) -> int:
@@ -90,14 +95,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
-def _from_adj(adj: list[tuple[int, ...]], connected: bool) -> Graph:
-    """Wrap adjacency rows as a Graph without validating them. It trusts
-    that each row is a sorted tuple of vertices in range, that the rows
-    are symmetric and loop-free, and that ``connected`` is true of them.
-    Outside input goes through ``Graph(n, edges)``."""
+def _from_adj(adj: list[tuple[int, ...]], masks: list[int],
+              connected: bool) -> Graph:
+    """Wrap adjacency rows and their bitmasks as a Graph without
+    validating them. It trusts that each row is a sorted tuple of
+    vertices in range, that the rows are symmetric and loop-free, that
+    ``masks[v]`` has exactly the bits of ``adj[v]``, and that
+    ``connected`` is true of them. Outside input goes through
+    ``Graph(n, edges)``."""
     g = object.__new__(Graph)
     g.n = len(adj)
     g.adj = tuple(adj)
+    g.masks = tuple(masks)
     g.connected = connected
     return g
 
@@ -199,21 +208,40 @@ def distance_order(g: Graph, targets: Iterable[int], head=(),
 
 def kth_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with edges between all pairs at
-    distance 1..k in ``g``."""
+    distance 1..k in ``g``. As in ``diameter``, each level ORs neighbor
+    rows into ``reach``, so after k levels bit u of ``reach[v]`` is set
+    iff u is within k hops of v. The mask of v is ``reach[v]`` without
+    v, and its sorted neighbors are the positions of the ones in its
+    reversed binary string."""
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if not g.connected:
         raise PreconditionError("kth_power requires a connected graph")
     if k == 1:
         return g
-    # Ball rows are loop-free once u is removed, and symmetric because
-    # distance is; a power of a connected graph is connected.
-    rows = []
-    for u in range(g.n):
-        row = sorted(ball(g, [u], k))
-        row.remove(u)
+    reach = [1 << v for v in range(g.n)]
+    for _ in range(k):
+        prev = reach[:]
+        for v in range(g.n):
+            for u in g.adj[v]:
+                reach[v] |= prev[u]
+    # Rows are loop-free once v is removed, and symmetric because
+    # distance is; a power of a connected graph is connected. The masks
+    # are made in place and the last level is dropped first, so one
+    # bitset per vertex is alive; the rows take their entries from one
+    # ``ids`` list, so they hold n int objects rather than one per entry.
+    del prev
+    masks, rows = reach, []
+    ids = list(range(g.n))
+    for v in range(g.n):
+        masks[v] ^= 1 << v
+        bits = bin(masks[v])[:1:-1]
+        row, i = [], bits.find("1")
+        while i >= 0:
+            row.append(ids[i])
+            i = bits.find("1", i + 1)
         rows.append(tuple(row))
-    return _from_adj(rows, True)
+    return _from_adj(rows, masks, True)
 
 
 def girth(g: Graph) -> Optional[int]:

@@ -34,12 +34,7 @@ def _clique_painter_wins(tokens: tuple[int, ...]) -> bool:
     return all(f >= i for i, f in enumerate(sorted(tokens), start=1))
 
 
-def _masks(g: Graph) -> list[int]:
-    """Row v is the bitmask of v's neighbours."""
-    return [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
-
-
-def _peel(adj: list[int], alive: int, tokens) -> int:
+def _peel(adj: tuple[int, ...], alive: int, tokens) -> int:
     """The alive mask left once every vertex with more tokens than
     alive neighbours is deleted, repeatedly. A deletion lowers only its
     neighbours' degrees, so only they are checked again."""
@@ -53,7 +48,7 @@ def _peel(adj: list[int], alive: int, tokens) -> int:
     return alive
 
 
-def _is_clique(adj_masks: list[int], alive_mask: int, n: int) -> bool:
+def _is_clique(adj_masks: tuple[int, ...], alive_mask: int, n: int) -> bool:
     for v in range(n):
         if alive_mask >> v & 1:
             if alive_mask & ~(adj_masks[v] | 1 << v):
@@ -106,7 +101,7 @@ class PaintabilitySolver:
             raise CapExceededError(
                 f"total budget {budgets.total()} exceeds cap {DEFAULT_TOKEN_CAP}")
         self.n = game_graph.n
-        self.adj_masks = _masks(game_graph)
+        self.adj_masks = game_graph.masks
         self.budgets = budgets
         self.memo = {}
 
@@ -250,7 +245,7 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
         raise CapExceededError(f"list size {t} exceeds choosability cap 4")
     if t < 1:
         raise PreconditionError("list size must be >= 1")
-    adj = _masks(game_graph)
+    adj = game_graph.masks
     core = _peel(adj, (1 << n) - 1, [t] * n)
     if core.bit_count() <= 1:
         return True

@@ -25,12 +25,15 @@ from .graph import (
 from .game import GameState
 
 
-def _scan(order, adj, revealed, colored, skip=()):
+def _scan(order, masks, revealed, colored, block=0, skip=()):
     """The greedy scan: in ``order``, color each revealed vertex outside
-    ``skip`` none of whose neighbors in ``adj`` is colored this round."""
+    ``skip`` none of whose neighbors in ``masks`` is colored this round.
+    ``block`` is the OR of the masks of ``colored``: the vertices with a
+    colored neighbor."""
     for u in order:
-        if u in revealed and u not in skip and colored.isdisjoint(adj[u]):
+        if u in revealed and u not in skip and not block >> u & 1:
             colored.add(u)
+            block |= masks[u]
     return colored
 
 
@@ -65,7 +68,7 @@ class GreedyScanPainter:
 
     def choose_colors(self, state: GameState, game_graph: Graph,
                       revealed: set[int]) -> set[int]:
-        return _scan(self.order, game_graph.adj, revealed, set())
+        return _scan(self.order, game_graph.masks, revealed, set())
 
 
 class CliquePainter:
@@ -145,23 +148,25 @@ class TheoremPainter:
     def choose_colors(self, state: GameState, game_graph: Graph,
                       revealed: set[int]) -> set[int]:
         f = self.frame
-        adj = game_graph.adj
+        masks = game_graph.masks
         colored: set[int] = set()
+        block = 0
         v_out = f.v not in revealed
         rows = (((f.x1, f.y1), (self.no_v == 0 and v_out)
                  or (self.no_w == 0 and f.w not in revealed), self.M - 1),
                 ((f.x2, f.y2), v_out, self.M - 4))
         for pair, steer, last in rows:
-            free = [z for z in pair
-                    if z in revealed and colored.isdisjoint(adj[z])]
-            if len(free) == 2:
-                colored.update(free)
-            elif free:
+            free = [z for z in pair if z in revealed and not block >> z & 1]
+            if len(free) == 1:
                 z = free[0]
                 # budgets - tokens counts z's earlier uncolored reveals.
-                if steer or state.budgets[z] - state.tokens[z] + 1 >= last:
-                    colored.add(z)
-        _scan(f.order, adj, revealed, colored, skip=f.frame_vertices())
+                if not (steer
+                        or state.budgets[z] - state.tokens[z] + 1 >= last):
+                    continue
+            for z in free:
+                colored.add(z)
+                block |= masks[z]
+        _scan(f.order, masks, revealed, colored, block, f.frame_vertices())
 
         hits = (f.x1 in colored) + (f.y1 in colored)
         if hits:

@@ -242,6 +242,33 @@ def test_validator_rejections(case, budget, rounds, winner, loser, expected,
         assert f"round {round_i}" in msg
 
 
+# JSON values that compare equal to a vertex id or round index but are
+# not ints: (case, key, value), set in round 1 or, for the loser, at
+# the top level of a legal lister win on K2 with one token each.
+NON_INT_FIELDS = [
+    ("float colored", "colored", [0.0]),
+    ("bool revealed", "revealed", [True, 0]),
+    ("float round", "round", 1.0),
+    ("string round", "round", "1"),
+    ("float loser", "loser_vertex", 1.0),
+]
+
+
+@pytest.mark.parametrize("case,key,value", NON_INT_FIELDS,
+                         ids=[c[0] for c in NON_INT_FIELDS])
+def test_from_json_rejects_non_integer_ids(case, key, value):
+    obj = {"header": {"n": 2, "k": 1, "budget": [1, 1], "painter": "x",
+                      "lister": "y", "seed": None},
+           "rounds": [{"round": 1, "revealed": [0, 1], "colored": [0]}],
+           "winner": "lister", "loser_vertex": 1}
+    legal = Transcript.from_json(json.dumps(obj))
+    assert validate_transcript(complete(2), TokenBudgets.uniform(2, 1),
+                               legal) is None
+    (obj if key == "loser_vertex" else obj["rounds"][0])[key] = value
+    with pytest.raises(PowerPaintError, match="is not an integer"):
+        Transcript.from_json(json.dumps(obj))
+
+
 def _accepts(g: Graph, colored: set[int]) -> bool:
     state = GameState(TokenBudgets.uniform(g.n, 1))
     try:

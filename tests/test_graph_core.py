@@ -98,11 +98,18 @@ class TestGraphInvariants:
         assert g.num_edges() == 1
 
     def test_adjacency_symmetric_sorted(self):
-        g = Graph(4, [(2, 0), (3, 1), (0, 3)])
-        for u in range(4):
-            assert list(g.adj[u]) == sorted(g.adj[u])
-            for v in g.adj[u]:
-                assert u in g.adj[v]
+        rng = random.Random(2)
+        # n > 64: the masks span several machine words
+        dense = Graph(70, [(u, v) for u in range(70) for v in range(u)
+                           if rng.random() < 0.3])
+        for g in (Graph(4, [(2, 0), (3, 1), (0, 3)]),
+                  random_regular(130, 3, 1), dense):
+            for u in range(g.n):
+                assert isinstance(g.adj[u], tuple)
+                assert list(g.adj[u]) == sorted(g.adj[u])
+                assert g.masks[u] == sum(1 << v for v in g.adj[u])
+                for v in g.adj[u]:
+                    assert u in g.adj[v]
 
     def test_connectivity_flag(self):
         assert Graph(3, [(0, 1), (1, 2)]).connected
@@ -218,9 +225,11 @@ class TestKthPower:
         assert kth_power(cycle(6), 3) == complete(6)
 
     def test_matches_networkx_power(self):
-        for seed in range(5):
-            g = random_regular(12, 3, seed)
-            for k in (2, 3):
+        # n > 64: the power's masks span several machine words
+        graphs = ([random_regular(12, 3, seed) for seed in range(5)]
+                  + [random_regular(100, 3, 7), lcf(*FOSTER_LCF)])
+        for g in graphs:
+            for k in (1, 2, 3, 4):
                 expected = nx.power(to_nx(g), k)
                 got = kth_power(g, k)
                 assert set(got.edges()) == {
@@ -229,6 +238,10 @@ class TestKthPower:
                 # constructor builds from the same edges
                 rebuilt = Graph(g.n, got.edges())
                 assert got == rebuilt and hash(got) == hash(rebuilt)
+                for v in range(g.n):
+                    assert isinstance(got.adj[v], tuple)
+                    assert list(got.adj[v]) == sorted(got.adj[v])
+                    assert got.masks[v] == sum(1 << u for u in got.adj[v])
                 assert got.connected
 
     def test_monotone_in_k(self):

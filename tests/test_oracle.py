@@ -13,7 +13,6 @@ from powerpaint.oracle import (
     PAINTER,
     PaintabilitySolver,
     _clique_painter_wins,
-    _masks,
     _peel,
     solve_choosability,
     solve_paintability,
@@ -169,7 +168,7 @@ class TestPeeling:
             while low := {v for v in expected
                           if tokens[v] > len(expected.intersection(g.adj[v]))}:
                 expected -= low
-            peeled = _peel(_masks(g), alive, tokens)
+            peeled = _peel(g.masks, alive, tokens)
             assert peeled == sum(1 << v for v in expected), (
                 g.edges(), alive, tokens)
 
