@@ -16,7 +16,6 @@ from .errors import (
     ParseError,
     PowerPaintError,
     PreconditionError,
-    StrategyInvariantViolation,
 )
 from .graph import (
     CaseLabel,

@@ -1,9 +1,9 @@
 """Command-line surface: analyze, power, play, verify, generate,
 selftest. JSON results go to stdout, diagnostics to stderr.
 
-Exit codes: 0 success (and painter never lost), 1 a game or property
-failed (including a painter breaking its own invariants), 2 usage or
-input error.
+Exit codes: 0 success, 1 the lister won a ``play`` game (the referee
+names the vertex in its transcript) or a ``selftest`` check failed,
+2 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,14 +13,8 @@ import json
 import sys
 
 from . import gen_io
-from .errors import PowerPaintError, StrategyInvariantViolation
-from .game import (
-    TokenBudgets,
-    play_game,
-    pressure_lister,
-    random_lister,
-    validate_transcript,
-)
+from .errors import PowerPaintError
+from .game import TokenBudgets, play_game, pressure_lister, random_lister
 from .graph import Graph, bound_D, classify, kth_power, structural_report
 from .oracle import solve_choosability, solve_paintability
 from .painters import (clique_painter, dispatch_painter, greedy_scan_painter,
@@ -107,9 +101,6 @@ def cmd_play(args) -> int:
         lister = LISTERS[args.lister](game_seed)
         t = play_game(game_graph, budgets, lister, painter,
                       seed=game_seed, k=k)
-        bad = validate_transcript(game_graph, budgets, t)
-        if bad is not None:
-            raise PowerPaintError(f"transcript failed validation: {bad}")
         wins[t.winner] += 1
         if args.transcript:
             transcripts.append(t.to_json())
@@ -202,9 +193,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StrategyInvariantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (PowerPaintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

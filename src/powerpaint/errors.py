@@ -43,7 +43,3 @@ class IllegalListerMove(PowerPaintError):
 
 class IllegalPainterMove(PowerPaintError):
     """Painter colored outside the revealed set or a dependent set."""
-
-
-class StrategyInvariantViolation(PowerPaintError):
-    """The main painter let a vertex run out of tokens; never expected."""

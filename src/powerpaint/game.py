@@ -100,24 +100,32 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        obj = json.loads(text)
-        h = obj["header"]
-        t = cls(
-            n=h["n"],
-            budgets=TokenBudgets(h["budget"]),
-            painter_name=h["painter"],
-            lister_name=h["lister"],
-            seed=h.get("seed"),
-            k=h.get("k"),
-        )
-        t.rounds = [
-            Round(index=_int(r["round"], "round"),
-                  revealed=tuple(_int(v, "vertex") for v in r["revealed"]),
-                  colored=tuple(_int(v, "vertex") for v in r["colored"]))
-            for r in obj["rounds"]
-        ]
-        t.winner = obj["winner"]
-        loser = obj.get("loser_vertex")
+        """Parse one line of ``to_json``. Invalid JSON, a missing key, a
+        wrong container type or a non-integer count or id raises
+        PowerPaintError."""
+        try:
+            obj = json.loads(text)
+            h = obj["header"]
+            t = cls(
+                n=_int(h["n"], "n"),
+                budgets=TokenBudgets(h["budget"]),
+                painter_name=h["painter"],
+                lister_name=h["lister"],
+                seed=h.get("seed"),
+                k=h.get("k"),
+            )
+            t.rounds = [
+                Round(index=_int(r["round"], "round"),
+                      revealed=tuple(_int(v, "vertex") for v in r["revealed"]),
+                      colored=tuple(_int(v, "vertex") for v in r["colored"]))
+                for r in obj["rounds"]
+            ]
+            t.winner = obj["winner"]
+            loser = obj.get("loser_vertex")
+        except KeyError as exc:
+            raise PowerPaintError(f"transcript has no {exc} field") from exc
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise PowerPaintError(f"malformed transcript: {exc}") from exc
         t.loser_vertex = None if loser is None else _int(loser, "vertex")
         return t
 

@@ -50,7 +50,46 @@ def _painter_wins_all(game_graph, budgets, painter, listers, what):
         bad = validate_transcript(game_graph, budgets, t)
         require(bad is None, f"{what}: invalid transcript: {bad}")
         require(t.winner == "painter", f"{what}: the {lister.name} lister "
-                f"won (seed {getattr(lister, 'seed', None)})")
+                f"(seed {getattr(lister, 'seed', None)}) won: vertex "
+                f"{t.loser_vertex} ran out in round {len(t.rounds)}")
+
+
+class ScriptLister:
+    """Reveals the alive part of each scripted set in turn, skipping a
+    set with nothing alive; once the script is spent, the alive set."""
+
+    def __init__(self, name, script):
+        self.name, self.script = name, script
+
+    def reset(self):
+        self.rest = iter(self.script)
+
+    def choose_reveal(self, state, game_graph):
+        for s in self.rest:
+            if state.alive & s:
+                return state.alive & s
+        return set(state.alive)
+
+
+def outside_frame(f, game_graph, t):
+    """t's G^k-neighbors other than x1, x2, y1, y2, v and w, by id."""
+    return sorted(set(game_graph.adj[t]) - {f.x1, f.x2, f.y1, f.y2, f.v, f.w})
+
+
+def late_vertex_attacks(f, game_graph):
+    """Reveal sequences aimed at the late vertex t = v or w, each with x1
+    and y1 in both roles (a first, b last): {t, a}; {t, u, b} for each u
+    outside the frame; then three rounds that end on {t, b}. t loses a
+    token in every round, D - 1 in all. With rule (iv) one token earlier
+    each starved t in round D - 1."""
+    attacks = []
+    for a, b in ((f.x1, f.y1), (f.y1, f.x1)):
+        for t, tail in ((f.v, [{f.x2, f.y2, b}, {f.w, b}, {b}]),
+                        (f.w, [{f.x2, b}, {f.y2, b}, {b}])):
+            script = ([{t, a}] + [{t, u, b} for u in outside_frame(
+                f, game_graph, t)] + [{t} | s for s in tail])
+            attacks.append(ScriptLister(f"attack_{t}_{a}", script))
+    return attacks
 
 
 def criterion_1_bound_formula(full: bool) -> str:
@@ -130,13 +169,16 @@ def criterion_5_theorem_at_desk_scale(full: bool) -> str:
     f = painter.frame
     late = certify(game_graph, order, uni(24, 20))
     require(late == {f.v, f.w}, f"scan violators {late}, not v and w")
-    # The pressure lister and the painter are deterministic: one game.
+    # The pressure lister, the attacks and the painter are deterministic:
+    # one game each.
     randoms = 1000 if full else 50
+    attacks = late_vertex_attacks(f, game_graph)
     listers = ([random_lister(seed) for seed in range(1, randoms + 1)]
-               + [pressure_lister()])
+               + [pressure_lister()] + attacks)
     _painter_wins_all(game_graph, uni(24, 20), painter, listers, "McGee^3")
-    return (f"scan certified but for v and w, {randoms} random games and "
-            f"the pressure game, all painter wins, no invariant violations")
+    return (f"scan certified but for v and w, {randoms} random games, the "
+            f"pressure game and {len(attacks)} late-vertex attacks, all "
+            f"painter wins")
 
 
 def criterion_6_fallback_routes(full: bool) -> str:

@@ -113,13 +113,24 @@ class TestPlay:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_painter_invariant_failure_exits_1(self, capsys):
-        # budget 12 starves the theorem painter on the McGee cube
+    def test_theorem_painter_loss_exits_1(self, tmp_path, capsys):
+        # budget 12 starves the theorem painter on the McGee cube in the
+        # first game; the referee records it and the other games play on
+        path = tmp_path / "t.jsonl"
         code, out, err = run(capsys, "play", "--family", "mcgee", "--k", "3",
                              "--painter", "theorem", "--budget", "12",
-                             "--seed", "0")
-        assert code == 1
-        assert out == "" and err.startswith("error: ")
+                             "--seed", "0", "--games", "3",
+                             "--transcript", str(path))
+        assert code == 1 and err == ""
+        obj = json.loads(out)
+        assert (obj["painter_wins"], obj["lister_wins"]) == (2, 1)
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == 3
+        game_graph = kth_power(mcgee(), 3)
+        budgets = TokenBudgets.uniform(24, 12)
+        t = Transcript.from_json(lines[0])
+        assert (t.winner, t.loser_vertex) == ("lister", 9)
+        assert validate_transcript(game_graph, budgets, t) is None
 
     def test_theorem_painter_off_main_case_exits_2(self, capsys):
         code, out, err = run(capsys, "play", "--family", "petersen", "--k",

@@ -269,6 +269,32 @@ def test_from_json_rejects_non_integer_ids(case, key, value):
         Transcript.from_json(json.dumps(obj))
 
 
+# Lines that are not transcripts: (case, JSON text, message part).
+MALFORMED = [
+    ("empty object", "{}", "no 'header' field"),
+    ("list", "[]", "malformed transcript"),
+    ("null rounds", json.dumps({
+        "header": {"n": 2, "budget": [1, 1], "painter": "x", "lister": "y"},
+        "rounds": None, "winner": "painter"}), "malformed transcript"),
+    ("string n", json.dumps({
+        "header": {"n": "2", "budget": [1, 1], "painter": "x", "lister": "y"},
+        "rounds": [], "winner": "painter"}), "n '2' is not an integer"),
+    ("no winner", json.dumps({
+        "header": {"n": 2, "budget": [1, 1], "painter": "x", "lister": "y"},
+        "rounds": []}), "no 'winner' field"),
+    ("list header", json.dumps({"header": [2], "rounds": []}),
+     "malformed transcript"),
+    ("not JSON", "{", "malformed transcript"),
+]
+
+
+@pytest.mark.parametrize("case,text,expected", MALFORMED,
+                         ids=[c[0] for c in MALFORMED])
+def test_from_json_rejects_malformed_lines(case, text, expected):
+    with pytest.raises(PowerPaintError, match=expected):
+        Transcript.from_json(text)
+
+
 def _accepts(g: Graph, colored: set[int]) -> bool:
     state = GameState(TokenBudgets.uniform(g.n, 1))
     try:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from powerpaint import graph, painters
-from powerpaint.errors import PreconditionError, StrategyInvariantViolation
+from powerpaint.errors import PreconditionError
 from powerpaint.game import (
     GameState,
     TokenBudgets,
@@ -32,6 +32,8 @@ from powerpaint.painters import (
     greedy_scan_painter,
     main_theorem_painter,
 )
+from powerpaint.selftest import (ScriptLister, late_vertex_attacks,
+                                 outside_frame)
 from test_golden_analysis import (FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF,
                                   foster_lift)
 from test_oracle import _raw_minimax
@@ -41,55 +43,11 @@ def fresh_state(budgets):
     return GameState(budgets)
 
 
-class ScriptLister:
-    """Reveals the alive part of each scripted set in turn, skipping a
-    set with nothing alive; once the script is spent, the alive set."""
-
-    def __init__(self, name, script):
-        self.name, self.script = name, script
-
-    def reset(self):
-        self.rest = iter(self.script)
-
-    def choose_reveal(self, state, game_graph):
-        for s in self.rest:
-            if state.alive & s:
-                return state.alive & s
-        return set(state.alive)
-
-
-def outside_frame(f, game_graph, t):
-    """t's G^k-neighbors other than x1, x2, y1, y2, v and w, by id."""
-    return sorted(set(game_graph.adj[t]) - {f.x1, f.x2, f.y1, f.y2, f.v, f.w})
-
-
-def late_vertex_attacks(f, game_graph):
-    """Reveal sequences aimed at the late vertex t = v or w, each with x1
-    and y1 in both roles (a first, b last): {t, a}; {t, u, b} for each u
-    outside the frame; then three rounds that end on {t, b}. t loses a
-    token in every round, D - 1 in all."""
-    attacks = []
-    for a, b in ((f.x1, f.y1), (f.y1, f.x1)):
-        for t, tail in ((f.v, [{f.x2, f.y2, b}, {f.w, b}, {b}]),
-                        (f.w, [{f.x2, b}, {f.y2, b}, {b}])):
-            script = ([{t, a}] + [{t, u, b} for u in outside_frame(
-                f, game_graph, t)] + [{t} | s for s in tail])
-            attacks.append(ScriptLister(f"attack_{t}_{a}", script))
-    return attacks
-
-
 def drains(f, game_graph):
     """For z = x2 and z = y2: {v, z, u} for each u outside the frame,
     then {v, z}, so z's last-chance rule fires."""
     return [ScriptLister(f"drain_{z}", [{f.v, z, u} for u in outside_frame(
         f, game_graph, f.v)] + [{f.v, z}]) for z in (f.x2, f.y2)]
-
-
-def game_record(game_graph, budgets, lister, painter):
-    try:
-        return play_game(game_graph, budgets, lister, painter).to_json()
-    except StrategyInvariantViolation as exc:
-        return f"raised: {exc}"
 
 
 class TestGreedyScan:
@@ -193,22 +151,16 @@ class TestTheoremPainter:
         t2 = play_game(game_graph, budgets, random_lister(11), painter)
         assert t1.to_json() == t2.to_json()
 
-    def test_invariant_violation_on_starved_budget(self):
-        # Far below the proven budget the strategy must eventually let a
-        # vertex starve, and it reports that loudly instead of losing
-        # silently.
+    def test_starved_budget_is_a_lister_win(self):
+        # Far below the bound the pressure lister starves a vertex; the
+        # referee records the loss and the transcript validates.
         g = mcgee()
         painter = main_theorem_painter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, 3)
-        raised = False
-        for seed in range(20):
-            try:
-                play_game(game_graph, budgets, pressure_lister(), painter)
-            except StrategyInvariantViolation:
-                raised = True
-                break
-        assert raised
+        t = play_game(game_graph, budgets, pressure_lister(), painter)
+        assert (t.winner, t.loser_vertex, len(t.rounds)) == ("lister", 0, 3)
+        assert validate_transcript(game_graph, budgets, t) is None
 
     @pytest.mark.parametrize("builder,k", [
         (mcgee, 3), (lambda: lcf(*TUTTE_COXETER_LCF), 3),
@@ -228,7 +180,7 @@ class TestTheoremPainter:
 
     def test_decisions_pinned(self):
         # One digest over the main painter's games on McGee^3 and Foster^4
-        # at M - 1 tokens: any change to a decision or a raise shows here.
+        # at M - 1 tokens: any change to a decision shows here.
         h = hashlib.md5()
         for g, k in ((mcgee(), 3), (lcf(*FOSTER_LCF), 4)):
             painter, _, _ = dispatch_painter(g, k)
@@ -239,8 +191,8 @@ class TestTheoremPainter:
                        + late_vertex_attacks(painter.frame, game_graph)
                        + drains(painter.frame, game_graph))
             for lister in listers:
-                h.update(game_record(game_graph, budgets, lister,
-                                     painter).encode() + b"\n")
+                t = play_game(game_graph, budgets, lister, painter)
+                h.update(t.to_json().encode() + b"\n")
         assert h.hexdigest() == "3758a03d524a423ec01c0c736196423d"
 
     def test_frame_vertices_colored_before_exhaustion(self):
