@@ -108,7 +108,7 @@ class Transcript:
             h = obj["header"]
             t = cls(
                 n=_int(h["n"], "n"),
-                budgets=TokenBudgets(h["budget"]),
+                budgets=TokenBudgets([_int(x, "budget") for x in h["budget"]]),
                 painter_name=h["painter"],
                 lister_name=h["lister"],
                 seed=h.get("seed"),
@@ -131,22 +131,12 @@ class Transcript:
 
 
 def _int(x, what: str) -> int:
-    """A vertex id or round index read from a transcript. JSON numbers
-    such as 0.0 or true compare equal to ints, so they would pass the
-    replay's set checks and fail later with a TypeError."""
+    """A count, id or round index read from a transcript. JSON numbers
+    such as 2.0 or true compare equal to ints, so they would pass the
+    replay's checks (budgets included) and fail later, or never."""
     if type(x) is not int:
         raise PowerPaintError(f"transcript {what} {x!r} is not an integer")
     return x
-
-
-def _is_independent(game_graph: Graph, vs: set[int]) -> bool:
-    """No two vertices of ``vs`` are adjacent: no vertex of ``vs`` is in
-    the OR of their neighbor masks."""
-    masks = game_graph.masks
-    block = 0
-    for v in vs:
-        block |= masks[v]
-    return not any(block >> v & 1 for v in vs)
 
 
 def _check_reveal(state: GameState, revealed: set[int]) -> None:
@@ -160,20 +150,27 @@ def _check_reveal(state: GameState, revealed: set[int]) -> None:
 
 def _apply_coloring(game_graph: Graph, state: GameState, revealed: set[int],
                     colored: set[int]) -> Optional[int]:
-    """Color the set, drain the rest of the reveal, return the least loser."""
+    """Color the set, drain the rest of the reveal, return the least loser.
+    The set is independent iff it misses the OR of its neighbor masks."""
     if not colored <= revealed:
         raise IllegalPainterMove(
             f"colored vertex not revealed, round {state.round}")
-    if not _is_independent(game_graph, colored):
+    masks = game_graph.masks
+    bits = block = 0
+    for v in colored:
+        bits |= 1 << v
+        block |= masks[v]
+    if block & bits:
         raise IllegalPainterMove(f"dependent set, round {state.round}")
     for v in colored:
         state.color(v)
-    loser = None
+    tokens = state.tokens
+    losers = []
     for v in revealed - colored:
-        state.tokens[v] -= 1
-        if state.tokens[v] == 0 and (loser is None or v < loser):
-            loser = v
-    return loser
+        left = tokens[v] = tokens[v] - 1
+        if not left:
+            losers.append(v)
+    return min(losers) if losers else None
 
 
 def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,

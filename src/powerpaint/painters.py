@@ -25,36 +25,40 @@ from .graph import (
 from .game import GameState
 
 
-def _scan(order, masks, revealed, colored, block=0, skip=()):
-    """The greedy scan: in ``order``, color each revealed vertex outside
-    ``skip`` none of whose neighbors in ``masks`` is colored this round.
+def _rank(order):
+    """rank[u] is u's position in ``order``."""
+    return {u: i for i, u in enumerate(order)}
+
+
+def _scan(rank, masks, revealed, colored, block=0):
+    """The greedy scan: visit the revealed vertices by ``rank`` and color
+    each none of whose neighbors in ``masks`` is colored this round.
     ``block`` is the OR of the masks of ``colored``: the vertices with a
-    colored neighbor."""
-    for u in order:
-        if u in revealed and u not in skip and not block >> u & 1:
+    colored neighbor. A round costs the size of its reveal, not n."""
+    for u in sorted(revealed, key=rank.__getitem__):
+        if not block >> u & 1:
             colored.add(u)
             block |= masks[u]
     return colored
 
 
 def certify(game_graph: Graph, order, budgets) -> set[int]:
-    """The static twin of ``_scan``: the vertices u with back(u) >=
-    budgets[u], back(u) being u's game-graph neighbors earlier in
-    ``order``. The scan leaves a revealed u uncolored only if an earlier
-    neighbor was colored that round, and each vertex is colored once, so
-    u loses at most back(u) tokens: an empty result proves the scan wins
-    against every lister (Schauz, EJC 16 (2009) R77; Zhu, EJC 16 (2009)
-    R127)."""
-    pos = {u: i for i, u in enumerate(order)}
+    """The static twin of ``_scan`` in ``order``: the vertices u with
+    back(u) >= budgets[u], back(u) being u's game-graph neighbors earlier
+    in ``order``. The scan leaves a revealed u uncolored only if an
+    earlier neighbor was colored that round, and each vertex is colored
+    once, so u loses at most back(u) tokens: an empty result proves the
+    scan wins against every lister (Schauz, EJC 16 (2009) R77; Zhu, EJC
+    16 (2009) R127)."""
+    rank = _rank(order)
     return {u for u in order if sum(
-        pos[x] < pos[u] for x in game_graph.adj[u]) >= budgets[u]}
+        rank[x] < rank[u] for x in game_graph.adj[u]) >= budgets[u]}
 
 
 class GreedyScanPainter:
-    """Scans a fixed vertex order each round and colors every revealed
-    vertex whose game-graph neighbors are all uncolored this round.
-    Colors from earlier rounds never conflict: each round is one fresh
-    color."""
+    """Visits the revealed vertices in a fixed order and colors each one
+    with no game-graph neighbor colored this round. Colors from earlier
+    rounds never conflict: each round is one fresh color."""
 
     name = "greedy"
 
@@ -62,13 +66,14 @@ class GreedyScanPainter:
         self.order = tuple(order)
         if sorted(self.order) != list(range(len(self.order))):
             raise PreconditionError("order must be a permutation of 0..n-1")
+        self.rank = _rank(self.order)
 
     def reset(self):
         pass
 
     def choose_colors(self, state: GameState, game_graph: Graph,
                       revealed: set[int]) -> set[int]:
-        return _scan(self.order, game_graph.masks, revealed, set())
+        return _scan(self.rank, game_graph.masks, revealed, set())
 
 
 class CliquePainter:
@@ -143,6 +148,7 @@ class TheoremPainter:
                 f"theorem painter requires MainCase, got {label.kind}")
         self.frame = find_special_frame(g, k, label=label)
         self.M = bound_D(k, g.max_degree)
+        self.rank = _rank(self.frame.order)
         self.reset()
 
     def reset(self):
@@ -169,7 +175,8 @@ class TheoremPainter:
             for z in free:
                 colored.add(z)
                 block |= masks[z]
-        _scan(f.order, masks, revealed, colored, block, f.frame_vertices())
+        _scan(self.rank, masks, revealed.difference(f.frame_vertices()),
+              colored, block)
 
         hits = (f.x1 in colored) + (f.y1 in colored)
         if hits:

@@ -285,7 +285,10 @@ MALFORMED = [
     ("list header", json.dumps({"header": [2], "rounds": []}),
      "malformed transcript"),
     ("not JSON", "{", "malformed transcript"),
-]
+] + [(f"{name} budget", json.dumps({
+    "header": {"n": 3, "budget": [b] * 3, "painter": "x", "lister": "y"},
+    "rounds": [], "winner": "painter"}), f"budget {b!r} is not an integer")
+    for name, b in (("float", 1.5), ("bool", True), ("integral float", 2.0))]
 
 
 @pytest.mark.parametrize("case,text,expected", MALFORMED,

@@ -50,7 +50,70 @@ def drains(f, game_graph):
         f, game_graph, f.v)] + [{f.v, z}]) for z in (f.x2, f.y2)]
 
 
+# The four MainCase instances the frame rules are played on.
+FRAME_CASES = pytest.mark.parametrize("builder,k", [
+    (mcgee, 3), (lambda: lcf(*TUTTE_COXETER_LCF), 3),
+    (lambda: lcf(*FOSTER_LCF), 3), (lambda: lcf(*FOSTER_LCF), 4)],
+    ids=["mcgee3", "tutte_coxeter3", "foster3", "foster4"])
+
+
+class ConverseLister:
+    """``certify``'s converse for a scan in ``order``: each round reveals
+    the violator u with its earliest alive neighbor before it in
+    ``order``, u alone once none is left, and everything alive once u is
+    colored. The scan colors the neighbor, so u loses a token a round."""
+
+    name = "converse"
+
+    def __init__(self, game_graph, order, u):
+        self.u = u
+        self.earlier = [x for x in order[:order.index(u)]
+                        if game_graph.has_edge(u, x)]
+
+    def reset(self):
+        pass
+
+    def choose_reveal(self, state, game_graph):
+        if self.u not in state.alive:
+            return set(state.alive)
+        x = next((x for x in self.earlier if x in state.alive), None)
+        return {self.u} if x is None else {self.u, x}
+
+
 class TestGreedyScan:
+    def test_scan_matches_the_order_walk(self):
+        # The scan visits the reveal sorted by rank; the walk it replaced
+        # went through the whole order. Both color the same set, in the
+        # greedy painter's call and in the theorem painter's, which
+        # leaves the frame four out after coloring some of them.
+        def walk(order, masks, revealed, colored, block, skip):
+            for u in order:
+                if u in revealed and u not in skip and not block >> u & 1:
+                    colored.add(u)
+                    block |= masks[u]
+            return colored
+
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randint(1, 30)
+            p = rng.choice((0.1, 0.3, 0.6))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            order = rng.sample(range(n), n)
+            rank, masks = painters._rank(order), g.masks
+            revealed = {v for v in range(n) if rng.random() < 0.5}
+            assert painters._scan(rank, masks, revealed, set()) == walk(
+                order, masks, revealed, set(), 0, ())
+            four = set(rng.sample(range(n), min(n, 4)))
+            pre, block = set(), 0
+            for z in sorted(four & revealed):
+                if rng.random() < 0.5 and not block >> z & 1:
+                    pre.add(z)
+                    block |= masks[z]
+            assert painters._scan(
+                rank, masks, revealed - four, set(pre), block) == walk(
+                    order, masks, revealed, set(pre), block, four)
+
     def test_clique_one_per_round(self):
         g = complete(3)
         p = greedy_scan_painter([0, 1, 2])
@@ -162,10 +225,7 @@ class TestTheoremPainter:
         assert (t.winner, t.loser_vertex, len(t.rounds)) == ("lister", 0, 3)
         assert validate_transcript(game_graph, budgets, t) is None
 
-    @pytest.mark.parametrize("builder,k", [
-        (mcgee, 3), (lambda: lcf(*TUTTE_COXETER_LCF), 3),
-        (lambda: lcf(*FOSTER_LCF), 3), (lambda: lcf(*FOSTER_LCF), 4)],
-        ids=["mcgee3", "tutte_coxeter3", "foster3", "foster4"])
+    @FRAME_CASES
     def test_late_vertex_attacks_lose(self, builder, k):
         # Rule (iv) firing one reveal before the last token let each of
         # these sequences starve v or w in round D - 1.
@@ -240,6 +300,35 @@ class TestCertificate:
                         name, k)
                     rows["fallback"] += 1
         assert rows == {"main": 10, "fallback": 35}
+
+    @FRAME_CASES
+    def test_converse_starves_each_violator(self, builder, k):
+        # A scan painter beats every lister iff certify finds no
+        # violator: the converse lister starves each one in exactly
+        # D - 1 rounds. On the frame order the violators are v and w,
+        # and the main painter's frame rules win the same scripts.
+        g = builder()
+        painter, _, frame_order = dispatch_painter(g, k)
+        game_graph = kth_power(g, k)
+        d = bound_D(k, g.max_degree)
+        budgets = TokenBudgets.uniform(g.n, d - 1)
+        f = painter.frame
+        assert certify(game_graph, frame_order, budgets) == {f.v, f.w}
+        for order in (tuple(range(g.n)), frame_order):
+            targets = certify(game_graph, order, budgets)
+            assert targets
+            for u in sorted(targets):
+                lister = ConverseLister(game_graph, order, u)
+                t = play_game(game_graph, budgets, lister,
+                              greedy_scan_painter(order))
+                assert (t.winner, t.loser_vertex, len(t.rounds)) == (
+                    "lister", u, d - 1), (order == frame_order, u)
+                assert validate_transcript(game_graph, budgets, t) is None
+                if order == frame_order:
+                    t = play_game(game_graph, budgets, lister, painter)
+                    assert t.winner == "painter", u
+                    assert validate_transcript(game_graph, budgets,
+                                               t) is None
 
     def test_clique_boundary(self):
         k3, order = complete(3), (0, 1, 2)
