@@ -1,7 +1,7 @@
 """Referee for the online list-coloring game: round loop, legality
 checks, transcripts, and the baseline adversaries.
 
-Each round r stands for one color: the Lister reveals the set of alive
+Each round r stands for one color: the Lister reveals the set of uncolored
 vertices whose lists contain color r, the Painter immediately colors an
 independent subset of them. A vertex whose reveal budget hits zero
 uncolored loses the game for the Painter.
@@ -44,17 +44,14 @@ class TokenBudgets:
 
 
 class GameState:
-    """Mutable per-game state; strategies must treat it as read-only."""
+    """Mutable per-game state; strategies must treat it as read-only.
+    ``tokens`` maps each uncolored vertex to the tokens it has left, so
+    its keys are the uncolored vertices; coloring a vertex deletes it."""
 
     def __init__(self, budgets: TokenBudgets):
         self.budgets = budgets
-        self.alive = set(range(len(budgets)))
-        self.tokens = {v: budgets[v] for v in self.alive}
+        self.tokens = dict(enumerate(budgets.f))
         self.round = 0  # 1-based once play starts
-
-    def color(self, v: int):
-        self.alive.discard(v)
-        del self.tokens[v]
 
 
 @dataclass
@@ -140,10 +137,10 @@ def _int(x, what: str) -> int:
 
 
 def _check_reveal(state: GameState, revealed: set[int]) -> None:
-    """The Lister's rule: a nonempty set of alive vertices."""
+    """The Lister's rule: a nonempty set of uncolored vertices."""
     if not revealed:
         raise IllegalListerMove(f"empty reveal, round {state.round}")
-    if not revealed <= state.alive:
+    if revealed.difference(state.tokens):
         raise IllegalListerMove(
             f"revealed vertex not alive, round {state.round}")
 
@@ -162,9 +159,9 @@ def _apply_coloring(game_graph: Graph, state: GameState, revealed: set[int],
         block |= masks[v]
     if block & bits:
         raise IllegalPainterMove(f"dependent set, round {state.round}")
-    for v in colored:
-        state.color(v)
     tokens = state.tokens
+    for v in colored:
+        del tokens[v]
     losers = []
     for v in revealed - colored:
         left = tokens[v] = tokens[v] - 1
@@ -179,9 +176,10 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
     """Run one full game and return a validated transcript.
 
     ``lister.choose_reveal(state, graph)`` returns a nonempty subset of
-    alive vertices; ``painter.choose_colors(state, graph, revealed)``
-    returns an independent subset of it. Both are reset() at game start
-    so strategy instances can be reused across games.
+    the uncolored vertices, which are the keys of ``state.tokens``;
+    ``painter.choose_colors(state, graph, revealed)`` returns an
+    independent subset of it. Both are reset() at game start so strategy
+    instances can be reused across games.
     """
     if len(budgets) != game_graph.n:
         raise PowerPaintError("budget length does not match vertex count")
@@ -193,7 +191,7 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
                    painter_name=getattr(painter, "name", type(painter).__name__),
                    lister_name=getattr(lister, "name", type(lister).__name__),
                    seed=seed, k=k)
-    while state.alive:
+    while state.tokens:
         if state.round >= max_rounds:
             raise PowerPaintError(
                 f"game exceeded {max_rounds} rounds; referee bug")
@@ -234,7 +232,7 @@ def validate_transcript(game_graph: Graph, budgets: TokenBudgets,
             loser = _apply_coloring(game_graph, state, revealed, colored)
         except (IllegalListerMove, IllegalPainterMove) as exc:
             return str(exc)
-    if loser is None and state.alive:
+    if loser is None and state.tokens:
         return "transcript ends with uncolored vertices and no loser"
     expected_winner = "painter" if loser is None else "lister"
     if t.winner != expected_winner:
@@ -248,8 +246,8 @@ def validate_transcript(game_graph: Graph, budgets: TokenBudgets,
 # baseline Listers
 
 class RandomLister:
-    """Reveals a uniformly random nonempty subset of alive vertices:
-    each alive vertex independently with probability 1/2, resampling
+    """Reveals a uniformly random nonempty subset of uncolored vertices:
+    each uncolored vertex independently with probability 1/2, resampling
     empty draws. Deterministic per seed."""
 
     name = "random"
@@ -262,17 +260,17 @@ class RandomLister:
         self.rng = random.Random(self.seed)
 
     def choose_reveal(self, state: GameState, game_graph: Graph) -> set[int]:
-        alive = sorted(state.alive)
+        uncolored = sorted(state.tokens)
         rand = self.rng.random
         while True:
-            picked = {v for v in alive if rand() < 0.5}
+            picked = {v for v in uncolored if rand() < 0.5}
             if picked:
                 return picked
 
 
 class PressureLister:
-    """Targets the alive vertex with fewest remaining tokens (ties by
-    id) and reveals its alive closed neighborhood in the game graph."""
+    """Targets the uncolored vertex with fewest remaining tokens (ties by
+    id) and reveals its uncolored closed neighborhood in the game graph."""
 
     name = "pressure"
 
@@ -280,9 +278,10 @@ class PressureLister:
         pass
 
     def choose_reveal(self, state: GameState, game_graph: Graph) -> set[int]:
-        target = min(state.alive, key=lambda v: (state.tokens[v], v))
+        tokens = state.tokens
+        target = min(tokens, key=lambda v: (tokens[v], v))
         reveal = {target}
-        reveal.update(v for v in game_graph.adj[target] if v in state.alive)
+        reveal.update(v for v in game_graph.adj[target] if v in tokens)
         return reveal
 
 

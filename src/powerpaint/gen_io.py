@@ -259,12 +259,15 @@ def regular_tree(degree: int, depth: int) -> Graph:
     return Graph(next_id, edges)
 
 
-def random_regular(n: int, degree: int, seed: int,
-                   max_attempts: int = 10 ** 4) -> Graph:
+DEFAULT_PAIRING_ATTEMPTS = 10 ** 4
+
+
+def random_regular(n: int, degree: int, seed: int) -> Graph:
     """Pairing-model sample of a simple connected degree-regular graph.
 
     Shuffles n*degree stubs and pairs them consecutively; rejects draws
-    with loops, parallel edges, or a disconnected result.
+    with loops, parallel edges, or a disconnected result, and gives up
+    after ``DEFAULT_PAIRING_ATTEMPTS`` draws.
     """
     if degree < 1 or n < degree + 1:
         raise PreconditionError(f"need n >= degree+1, got n={n} degree={degree}")
@@ -275,7 +278,7 @@ def random_regular(n: int, degree: int, seed: int,
             f"the only connected 1-regular graph is K2, got n={n}")
     rng = random.Random(seed)
     stubs_template = [v for v in range(n) for _ in range(degree)]
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_PAIRING_ATTEMPTS):
         stubs = stubs_template[:]
         rng.shuffle(stubs)
         edges = {(min(e), max(e)) for e in zip(stubs[::2], stubs[1::2])}
@@ -285,7 +288,7 @@ def random_regular(n: int, degree: int, seed: int,
                 return g
     raise GiveUpError(
         f"no simple connected {degree}-regular graph on {n} vertices "
-        f"after {max_attempts} pairing attempts")
+        f"after {DEFAULT_PAIRING_ATTEMPTS} pairing attempts")
 
 
 # family -> (the GraphFamilySpec fields it requires, builder from the spec)

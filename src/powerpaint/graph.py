@@ -512,7 +512,7 @@ def find_special_frame(g: Graph, k: int,
         label = classify(g, k)
     if label.kind != CaseLabel.MAIN_CASE:
         raise PreconditionError(
-            f"find_special_frame requires MainCase, got {label.kind}")
+            f"the special frame requires MainCase, got {label.kind}")
     for x1 in range(g.n):
         sphere = sorted(y for y, d in ball(g, [x1], k + 1).items()
                         if d == k + 1)

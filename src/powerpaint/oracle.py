@@ -110,14 +110,15 @@ class PaintabilitySolver:
         tokens = tuple(self.budgets.f)
         return PAINTER if self._painter_wins(alive, tokens) else LISTER
 
-    def winning_reveal(self, alive_vertices, tokens_by_vertex) -> Optional[set[int]]:
+    def winning_reveal(self, tokens_by_vertex) -> Optional[set[int]]:
         """A reveal from which every painter reply loses, or None if the
-        state is painter-winning."""
+        state is painter-winning. ``tokens_by_vertex`` maps each
+        uncolored vertex to its tokens left, as ``GameState.tokens``."""
         alive = 0
         tokens = [0] * self.n
-        for v in alive_vertices:
+        for v, left in tokens_by_vertex.items():
             alive |= 1 << v
-            tokens[v] = tokens_by_vertex[v]
+            tokens[v] = left
         if self._painter_wins(alive, tuple(tokens)):
             return None
         # a reveal that wins on the peeled core wins on the full state
@@ -196,7 +197,7 @@ def solve_paintability(game_graph: Graph, budgets: TokenBudgets) -> str:
 
 class OracleLister:
     """Plays minimax-perfect reveals computed on the fly: a provably
-    winning reveal when one exists, otherwise the full alive set."""
+    winning reveal when one exists, otherwise every uncolored vertex."""
 
     name = "oracle"
 
@@ -207,10 +208,8 @@ class OracleLister:
         pass
 
     def choose_reveal(self, state: GameState, game_graph: Graph) -> set[int]:
-        win = self.solver.winning_reveal(state.alive, state.tokens)
-        if win is not None:
-            return win
-        return set(state.alive)
+        win = self.solver.winning_reveal(state.tokens)
+        return set(state.tokens) if win is None else win
 
 
 def oracle_lister(game_graph: Graph, budgets: TokenBudgets) -> OracleLister:

@@ -141,11 +141,6 @@ class TheoremPainter:
     name = "theorem"
 
     def __init__(self, g: Graph, k: int, label: Optional[CaseLabel] = None):
-        if label is None:
-            label = classify(g, k)
-        if label.kind != CaseLabel.MAIN_CASE:
-            raise PreconditionError(
-                f"theorem painter requires MainCase, got {label.kind}")
         self.frame = find_special_frame(g, k, label=label)
         self.M = bound_D(k, g.max_degree)
         self.rank = _rank(self.frame.order)

@@ -55,8 +55,8 @@ def _painter_wins_all(game_graph, budgets, painter, listers, what):
 
 
 class ScriptLister:
-    """Reveals the alive part of each scripted set in turn, skipping a
-    set with nothing alive; once the script is spent, the alive set."""
+    """Reveals the uncolored part of each scripted set in turn, skipping
+    a set with none; once the script is spent, every uncolored vertex."""
 
     def __init__(self, name, script):
         self.name, self.script = name, script
@@ -66,9 +66,10 @@ class ScriptLister:
 
     def choose_reveal(self, state, game_graph):
         for s in self.rest:
-            if state.alive & s:
-                return state.alive & s
-        return set(state.alive)
+            left = s.intersection(state.tokens)
+            if left:
+                return left
+        return set(state.tokens)
 
 
 def outside_frame(f, game_graph, t):

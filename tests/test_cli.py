@@ -137,7 +137,7 @@ class TestPlay:
                              "3", "--painter", "theorem", "--seed", "1")
         assert code == 2
         assert out == ""
-        assert err == ("error: theorem painter requires MainCase, "
+        assert err == ("error: the special frame requires MainCase, "
                        "got ShortCycle\n")
 
     def test_loss_exits_1(self, capsys):

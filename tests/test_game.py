@@ -138,13 +138,13 @@ class TestReferee:
         t = play_game(g, budgets, random_lister(3),
                       greedy_scan_painter(range(5)))
         state = GameState(budgets)
-        measure = sum(state.tokens.values()) + len(state.alive)
+        measure = sum(state.tokens.values()) + len(state.tokens)
         for r in t.rounds:
             for v in r.colored:
-                state.color(v)
+                del state.tokens[v]
             for v in set(r.revealed) - set(r.colored):
                 state.tokens[v] -= 1
-            new_measure = sum(state.tokens.values()) + len(state.alive)
+            new_measure = sum(state.tokens.values()) + len(state.tokens)
             assert new_measure < measure
             measure = new_measure
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerpaint import gen_io
 from powerpaint.errors import GiveUpError, ParseError, PreconditionError
 from powerpaint.gen_io import (
     FAMILIES,
@@ -334,6 +335,7 @@ class TestRandomRegular:
         for seed in range(5):
             assert random_regular(2, 1, seed) == complete(2)
 
-    def test_give_up(self):
+    def test_give_up(self, monkeypatch):
+        monkeypatch.setattr(gen_io, "DEFAULT_PAIRING_ATTEMPTS", 0)
         with pytest.raises(GiveUpError):
-            random_regular(6, 3, 0, max_attempts=0)
+            random_regular(6, 3, 0)

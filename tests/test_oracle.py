@@ -113,12 +113,11 @@ class TestPaintability:
     def test_winning_reveal_reported(self):
         g = cycle(5)
         solver = PaintabilitySolver(g, uni(5, 2))
-        reveal = solver.winning_reveal(set(range(5)), {v: 2 for v in range(5)})
+        reveal = solver.winning_reveal({v: 2 for v in range(5)})
         assert reveal is not None and reveal
         g4 = cycle(4)
         solver = PaintabilitySolver(g4, uni(4, 2))
-        assert solver.winning_reveal(set(range(4)),
-                                     {v: 2 for v in range(4)}) is None
+        assert solver.winning_reveal({v: 2 for v in range(4)}) is None
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_budget_length_must_match(self, n):
@@ -152,7 +151,7 @@ class TestPeeling:
             assert solver.solve() == expected, (g.edges(), f)
             wins[expected] += 1
             if expected == LISTER:
-                reveal = solver.winning_reveal(set(range(n)), f)
+                reveal = solver.winning_reveal(dict(enumerate(f)))
                 assert _reveal_wins(g, f, reveal), (g.edges(), f, reveal)
         assert min(wins.values()) >= 100, wins
 
@@ -221,7 +220,7 @@ class TestRevealDominance:
             assert solver.solve() == expected, (g.edges(), f)
             wins[expected] += 1
             if expected == LISTER:
-                reveal = solver.winning_reveal(set(range(n)), f)
+                reveal = solver.winning_reveal(dict(enumerate(f)))
                 assert _reveal_wins(g, f, reveal), (g.edges(), f, reveal)
         assert min(wins.values()) >= 3, wins
 
@@ -231,7 +230,7 @@ class TestRevealDominance:
         g = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
         f = [2] * 6
         reveal = PaintabilitySolver(g, TokenBudgets(f)).winning_reveal(
-            set(range(6)), f)
+            dict(enumerate(f)))
         assert reveal and 5 not in reveal
         assert _reveal_wins(g, f, reveal)
 

@@ -74,9 +74,9 @@ class ConverseLister:
         pass
 
     def choose_reveal(self, state, game_graph):
-        if self.u not in state.alive:
-            return set(state.alive)
-        x = next((x for x in self.earlier if x in state.alive), None)
+        if self.u not in state.tokens:
+            return set(state.tokens)
+        x = next((x for x in self.earlier if x in state.tokens), None)
         return {self.u} if x is None else {self.u, x}
 
 
@@ -279,6 +279,34 @@ class TestTheoremPainter:
                 assert revealed_uncolored[z] < painter.M - 1
 
 
+def _lister_beats_scan(g, order, f):
+    """Exhaustive search: can some lister beat the scan in ``order`` on
+    g with budgets f? The painter's reply is the scan, so the search
+    branches over reveals only, memoised on (alive mask, tokens)."""
+    rank, masks = painters._rank(order), g.masks
+    memo = {}
+
+    def wins(alive, tokens):
+        if (alive, tokens) not in memo:
+            reveals = (r for r in range(1, alive + 1) if r & alive == r)
+            memo[alive, tokens] = any(drains(alive, tokens, r)
+                                      for r in reveals)
+        return memo[alive, tokens]
+
+    def drains(alive, tokens, reveal):
+        revealed = {v for v in range(g.n) if reveal >> v & 1}
+        colored = painters._scan(rank, masks, revealed, set())
+        left = list(tokens)
+        for v in revealed - colored:
+            left[v] -= 1
+            if not left[v]:
+                return True
+        rest = alive & ~sum(1 << v for v in colored)
+        return bool(rest) and wins(rest, tuple(left))
+
+    return wins((1 << g.n) - 1, tuple(f))
+
+
 class TestCertificate:
     def test_golden_cases(self):
         # The scan is proved for every vertex of every fallback route;
@@ -357,6 +385,23 @@ class TestCertificate:
                 assert _raw_minimax(g, f), (g.edges(), order, f)
                 certified += 1
         assert certified >= 250, certified
+
+    def test_converse_by_exhaustive_search(self):
+        # certify is exact for the scan: a lister beats the scan in
+        # ``order`` iff certify names a violator.
+        rng = random.Random(22)
+        lister_wins = 0
+        for i in range(600):
+            n = rng.randint(1, 6)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < (0.3, 0.5, 0.7)[i % 3]])
+            order = rng.sample(range(n), n)
+            f = [rng.randint(1, 3) for _ in range(n)]
+            beaten = _lister_beats_scan(g, order, f)
+            assert beaten == bool(certify(g, order, TokenBudgets(f))), (
+                g.edges(), order, f)
+            lister_wins += beaten
+        assert 200 <= lister_wins <= 400, lister_wins
 
 
 class TestDispatch:
