@@ -49,22 +49,22 @@ from .gen_io import (
 )
 from .game import (
     GameState,
+    PressureLister,
+    RandomLister,
     TokenBudgets,
     Transcript,
     play_game,
-    pressure_lister,
-    random_lister,
     validate_transcript,
 )
 from .painters import (
+    CliquePainter,
+    GreedyScanPainter,
+    TheoremPainter,
     certify,
-    clique_painter,
     dispatch_painter,
-    greedy_scan_painter,
-    main_theorem_painter,
 )
 from .oracle import (
-    oracle_lister,
+    OracleLister,
     solve_choosability,
     solve_paintability,
 )

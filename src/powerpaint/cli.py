@@ -14,11 +14,12 @@ import sys
 
 from . import gen_io
 from .errors import PowerPaintError
-from .game import TokenBudgets, play_game, pressure_lister, random_lister
-from .graph import Graph, bound_D, classify, kth_power, structural_report
+from .game import PressureLister, RandomLister, TokenBudgets, play_game
+from .graph import (CaseLabel, Graph, bound_D, classify, kth_power,
+                    structural_report)
 from .oracle import solve_choosability, solve_paintability
-from .painters import (clique_painter, dispatch_painter, greedy_scan_painter,
-                       main_theorem_painter)
+from .painters import (CliquePainter, GreedyScanPainter, TheoremPainter,
+                       dispatch_painter)
 
 
 def _add_graph_args(p: argparse.ArgumentParser):
@@ -54,11 +55,11 @@ def _dispatch(g: Graph, k: int):
 # from the game seed
 PAINTERS = {
     "dispatch": _dispatch,
-    "theorem": lambda g, k: (main_theorem_painter(g, k), "MainCase"),
-    "greedy": lambda g, k: (greedy_scan_painter(range(g.n)), None),
-    "clique": lambda g, k: (clique_painter(), None),
+    "theorem": lambda g, k: (TheoremPainter(g, k), CaseLabel.MAIN_CASE),
+    "greedy": lambda g, k: (GreedyScanPainter(range(g.n)), None),
+    "clique": lambda g, k: (CliquePainter(), None),
 }
-LISTERS = {"random": random_lister, "pressure": lambda seed: pressure_lister()}
+LISTERS = {"random": RandomLister, "pressure": lambda seed: PressureLister()}
 
 
 def cmd_analyze(args) -> int:

@@ -175,21 +175,21 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
               k: Optional[int] = None) -> Transcript:
     """Run one full game and return a validated transcript.
 
-    ``lister.choose_reveal(state, graph)`` returns a nonempty subset of
-    the uncolored vertices, which are the keys of ``state.tokens``;
-    ``painter.choose_colors(state, graph, revealed)`` returns an
-    independent subset of it. Both are reset() at game start so strategy
-    instances can be reused across games.
+    Each player has a ``name``, recorded in the transcript, and
+    ``reset()``, called at game start so instances can be reused across
+    games. ``lister.choose_reveal(state, game_graph)`` returns a nonempty
+    subset of the uncolored vertices, which are the keys of
+    ``state.tokens``; ``painter.choose_colors(state, game_graph,
+    revealed)`` returns an independent subset of it.
     """
     if len(budgets) != game_graph.n:
         raise PowerPaintError("budget length does not match vertex count")
     max_rounds = budgets.total()
-    for strat in (lister, painter):
-        getattr(strat, "reset", lambda: None)()
+    lister.reset()
+    painter.reset()
     state = GameState(budgets)
     t = Transcript(n=game_graph.n, budgets=budgets,
-                   painter_name=getattr(painter, "name", type(painter).__name__),
-                   lister_name=getattr(lister, "name", type(lister).__name__),
+                   painter_name=painter.name, lister_name=lister.name,
                    seed=seed, k=k)
     while state.tokens:
         if state.round >= max_rounds:
@@ -285,9 +285,11 @@ class PressureLister:
         return reveal
 
 
+# Called by perfbench/workloads.py and perfbench/test_smoke.py.
 def random_lister(seed: int) -> RandomLister:
     return RandomLister(seed)
 
 
+# Called by perfbench/workloads.py.
 def pressure_lister() -> PressureLister:
     return PressureLister()

@@ -212,10 +212,6 @@ class OracleLister:
         return set(state.tokens) if win is None else win
 
 
-def oracle_lister(game_graph: Graph, budgets: TokenBudgets) -> OracleLister:
-    return OracleLister(game_graph, budgets)
-
-
 # ---------------------------------------------------------------------------
 # choosability
 

@@ -92,14 +92,6 @@ class CliquePainter:
         return {pick}
 
 
-def greedy_scan_painter(order) -> GreedyScanPainter:
-    return GreedyScanPainter(order)
-
-
-def clique_painter() -> CliquePainter:
-    return CliquePainter()
-
-
 class TheoremPainter:
     """The main-case strategy. Plays on the k-th power of a regular
     graph with girth >= 2k and disjoint 2k-cycles, hence diameter >= k+1
@@ -180,10 +172,6 @@ class TheoremPainter:
         return colored
 
 
-def main_theorem_painter(g: Graph, k: int, **kwargs) -> TheoremPainter:
-    return TheoremPainter(g, k, **kwargs)
-
-
 def _late_pair(cyc, v):
     """v and the smaller of its two neighbors on the cycle ``cyc``."""
     i = cyc.index(v)
@@ -199,7 +187,7 @@ def dispatch_painter(g: Graph, k: int):
     """
     label = classify(g, k)
     if label.kind == CaseLabel.MAIN_CASE:
-        painter = main_theorem_painter(g, k, label=label)
+        painter = TheoremPainter(g, k, label=label)
         return painter, label, painter.frame.order
     if label.kind == CaseLabel.NON_REGULAR:
         targets = tail = (label.low_degree_vertex,)
@@ -210,4 +198,4 @@ def dispatch_painter(g: Graph, k: int):
         v, w = _late_pair(c1, min(set(c1) & set(c2)))
         targets, tail = (v, w), (w, v)
     order = distance_order(g, targets, tail=tail)
-    return greedy_scan_painter(order), label, order
+    return GreedyScanPainter(order), label, order

@@ -17,14 +17,14 @@ import time
 import traceback
 from typing import Callable, NamedTuple
 
-from .game import (TokenBudgets, play_game, pressure_lister, random_lister,
+from .game import (PressureLister, RandomLister, TokenBudgets, play_game,
                    validate_transcript)
 from .gen_io import (complete, cycle, heawood, mcgee, parse_graph6, path,
                      petersen, prism, random_regular, write_graph6)
 from .graph import Graph, bound_D, kth_power
-from .oracle import (LISTER, PAINTER, oracle_lister, solve_choosability,
+from .oracle import (LISTER, PAINTER, OracleLister, solve_choosability,
                      solve_paintability)
-from .painters import CaseLabel, certify, clique_painter, dispatch_painter
+from .painters import CaseLabel, CliquePainter, certify, dispatch_painter
 
 uni = TokenBudgets.uniform
 
@@ -174,8 +174,8 @@ def criterion_5_theorem_at_desk_scale(full: bool) -> str:
     # one game each.
     randoms = 1000 if full else 50
     attacks = late_vertex_attacks(f, game_graph)
-    listers = ([random_lister(seed) for seed in range(1, randoms + 1)]
-               + [pressure_lister()] + attacks)
+    listers = ([RandomLister(seed) for seed in range(1, randoms + 1)]
+               + [PressureLister()] + attacks)
     _painter_wins_all(game_graph, uni(24, 20), painter, listers, "McGee^3")
     return (f"scan certified but for v and w, {randoms} random games, the "
             f"pressure game and {len(attacks)} late-vertex attacks, all "
@@ -196,13 +196,13 @@ def criterion_6_fallback_routes(full: bool) -> str:
         bad = certify(game_graph, order, budgets)
         require(not bad, f"{kind}: scan violators {bad}")
         _painter_wins_all(game_graph, budgets, painter,
-                          [random_lister(seed) for seed in seeds], kind)
+                          [RandomLister(seed) for seed in seeds], kind)
     # the clique strategy against the exact adversary replayed from the
     # oracle, pressure and random listers
     k4, budgets = complete(4), uni(4, 4)
-    listers = ([oracle_lister(k4, budgets), pressure_lister()]
-               + [random_lister(seed) for seed in range(1, 51)])
-    _painter_wins_all(k4, budgets, clique_painter(), listers, "K4 clique")
+    listers = ([OracleLister(k4, budgets), PressureLister()]
+               + [RandomLister(seed) for seed in range(1, 51)])
+    _painter_wins_all(k4, budgets, CliquePainter(), listers, "K4 clique")
     return (f"3 routes certified, {len(seeds)} games each + clique vs "
             f"exact adversary, pressure and 50 random listers")
 
@@ -235,7 +235,7 @@ def criterion_8_round_trips(full: bool) -> str:
     g = heawood()
     painter, _, _ = dispatch_painter(g, 3)
     _painter_wins_all(kth_power(g, 3), uni(g.n, 20), painter,
-                      [random_lister(seed) for seed in range(games)],
+                      [RandomLister(seed) for seed in range(games)],
                       "Heawood^3")
     return f"{trips} graph6 round trips + {games} validated transcripts"
 

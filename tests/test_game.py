@@ -15,15 +15,17 @@ from powerpaint.game import (
     Round,
     TokenBudgets,
     Transcript,
+    PressureLister,
+    RandomLister,
     _apply_coloring,
     play_game,
-    pressure_lister,
-    random_lister,
     validate_transcript,
 )
-from powerpaint.gen_io import complete, cycle, path
+from powerpaint.gen_io import complete, cycle, mcgee, path
 from powerpaint.graph import Graph
-from powerpaint.painters import greedy_scan_painter
+from powerpaint.oracle import OracleLister
+from powerpaint.painters import CliquePainter, GreedyScanPainter, TheoremPainter
+from powerpaint.selftest import ScriptLister
 
 
 class ScriptedLister:
@@ -62,7 +64,7 @@ class TestReferee:
     def test_k2_budget_one_forced_loss(self):
         g = complete(2)
         t = play_game(g, TokenBudgets.uniform(2, 1),
-                      ScriptedLister([{0, 1}]), greedy_scan_painter([0, 1]))
+                      ScriptedLister([{0, 1}]), GreedyScanPainter([0, 1]))
         assert t.winner == "lister"
         assert t.loser_vertex == 1
 
@@ -70,7 +72,7 @@ class TestReferee:
         g = complete(2)
         for seed in range(20):
             t = play_game(g, TokenBudgets.uniform(2, 2),
-                          random_lister(seed), greedy_scan_painter([0, 1]))
+                          RandomLister(seed), GreedyScanPainter([0, 1]))
             assert t.winner == "painter"
 
     def test_p3_budget_two_painter_wins(self):
@@ -79,13 +81,13 @@ class TestReferee:
             # distance order toward endpoint 0: the middle vertex is
             # always scanned before an adjacent endpoint can block it
             t = play_game(g, TokenBudgets.uniform(3, 2),
-                          random_lister(seed), greedy_scan_painter([2, 1, 0]))
+                          RandomLister(seed), GreedyScanPainter([2, 1, 0]))
             assert t.winner == "painter"
 
     def test_empty_reveal_rejected(self):
         with pytest.raises(IllegalListerMove):
             play_game(complete(2), TokenBudgets.uniform(2, 2),
-                      ScriptedLister([set()]), greedy_scan_painter([0, 1]))
+                      ScriptedLister([set()]), GreedyScanPainter([0, 1]))
 
     def test_dead_vertex_reveal_rejected(self):
         g = complete(2)
@@ -128,15 +130,15 @@ class TestReferee:
         g = cycle(5)
         budgets = TokenBudgets.uniform(5, 3)
         for seed in range(20):
-            t = play_game(g, budgets, random_lister(seed),
-                          greedy_scan_painter(range(5)))
+            t = play_game(g, budgets, RandomLister(seed),
+                          GreedyScanPainter(range(5)))
             assert len(t.rounds) <= budgets.total()
 
     def test_progress_measure_strictly_decreases(self):
         g = cycle(5)
         budgets = TokenBudgets.uniform(5, 3)
-        t = play_game(g, budgets, random_lister(3),
-                      greedy_scan_painter(range(5)))
+        t = play_game(g, budgets, RandomLister(3),
+                      GreedyScanPainter(range(5)))
         state = GameState(budgets)
         measure = sum(state.tokens.values()) + len(state.tokens)
         for r in t.rounds:
@@ -152,7 +154,7 @@ class TestReferee:
         g = cycle(4)
         for seed in range(30):
             t = play_game(g, TokenBudgets.uniform(4, 2),
-                          random_lister(seed), greedy_scan_painter(range(4)))
+                          RandomLister(seed), GreedyScanPainter(range(4)))
             colored = [v for r in t.rounds for v in r.colored]
             if t.winner == "painter":
                 assert sorted(colored) == list(range(4))
@@ -163,8 +165,8 @@ class TestTranscript:
     def run_one(self):
         g = cycle(4)
         budgets = TokenBudgets.uniform(4, 2)
-        t = play_game(g, budgets, random_lister(5),
-                      greedy_scan_painter(range(4)), seed=5, k=1)
+        t = play_game(g, budgets, RandomLister(5),
+                      GreedyScanPainter(range(4)), seed=5, k=1)
         return g, budgets, t
 
     def test_emitted_transcripts_validate(self):
@@ -332,13 +334,13 @@ class TestListers:
     def test_random_single_alive(self):
         g = complete(1)
         state = GameState(TokenBudgets.uniform(1, 1))
-        assert random_lister(3).choose_reveal(state, g) == {0}
+        assert RandomLister(3).choose_reveal(state, g) == {0}
 
     def test_random_deterministic_per_seed(self):
         g = cycle(4)
         s1 = GameState(TokenBudgets.uniform(4, 2))
         s2 = GameState(TokenBudgets.uniform(4, 2))
-        l1, l2 = random_lister(9), random_lister(9)
+        l1, l2 = RandomLister(9), RandomLister(9)
         a = [l1.choose_reveal(s1, g) for _ in range(5)]
         b = [l2.choose_reveal(s2, g) for _ in range(5)]
         assert a == b
@@ -348,7 +350,7 @@ class TestListers:
     def test_random_uniform_over_nonempty_subsets(self):
         g = complete(4)
         state = GameState(TokenBudgets.uniform(4, 1))
-        lister = random_lister(42)
+        lister = RandomLister(42)
         n = 10 ** 4
         counts = {}
         for _ in range(n):
@@ -363,14 +365,44 @@ class TestListers:
     def test_pressure_clique_reveals_all(self):
         g = complete(3)
         state = GameState(TokenBudgets.uniform(3, 2))
-        assert pressure_lister().choose_reveal(state, g) == {0, 1, 2}
+        assert PressureLister().choose_reveal(state, g) == {0, 1, 2}
 
     def test_pressure_targets_min_tokens(self):
         g = complete(2)
         state = GameState(TokenBudgets([1, 3]))
-        assert pressure_lister().choose_reveal(state, g) == {0, 1}
+        assert PressureLister().choose_reveal(state, g) == {0, 1}
 
     def test_pressure_closed_neighborhood_only(self):
         g = path(3)  # 0-1-2
         state = GameState(TokenBudgets([1, 5, 5]))
-        assert pressure_lister().choose_reveal(state, g) == {0, 1}
+        assert PressureLister().choose_reveal(state, g) == {0, 1}
+
+
+# Every player the package ships, built fresh. play_game calls reset()
+# and records name with no fallback, and transcripts tell players apart
+# by name.
+BUILT_IN_PLAYERS = {
+    "GreedyScanPainter": lambda: GreedyScanPainter([0, 1, 2]),
+    "CliquePainter": CliquePainter,
+    "TheoremPainter": lambda: TheoremPainter(mcgee(), 3),
+    "RandomLister": lambda: RandomLister(1),
+    "PressureLister": PressureLister,
+    "OracleLister": lambda: OracleLister(complete(3),
+                                         TokenBudgets.uniform(3, 3)),
+}
+PLAYERS = dict(BUILT_IN_PLAYERS,
+               ScriptLister=lambda: ScriptLister("script", [{0}]))
+
+
+@pytest.mark.parametrize("build", PLAYERS.values(), ids=list(PLAYERS))
+def test_player_protocol(build):
+    player = build()
+    assert isinstance(player.name, str) and player.name
+    player.reset()
+    assert (hasattr(type(player), "choose_colors")
+            or hasattr(type(player), "choose_reveal"))
+
+
+def test_built_in_player_names_distinct():
+    names = [build().name for build in BUILT_IN_PLAYERS.values()]
+    assert len(set(names)) == len(names), names

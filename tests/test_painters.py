@@ -7,10 +7,10 @@ from powerpaint import graph, painters
 from powerpaint.errors import PreconditionError
 from powerpaint.game import (
     GameState,
+    PressureLister,
+    RandomLister,
     TokenBudgets,
     play_game,
-    pressure_lister,
-    random_lister,
     validate_transcript,
 )
 from powerpaint.gen_io import (
@@ -23,14 +23,13 @@ from powerpaint.gen_io import (
     random_regular,
 )
 from powerpaint.graph import CaseLabel, Graph, bound_D, kth_power
-from powerpaint.oracle import oracle_lister
+from powerpaint.oracle import OracleLister
 from powerpaint.painters import (
+    CliquePainter,
+    GreedyScanPainter,
     TheoremPainter,
     certify,
-    clique_painter,
     dispatch_painter,
-    greedy_scan_painter,
-    main_theorem_painter,
 )
 from powerpaint.selftest import (ScriptLister, late_vertex_attacks,
                                  outside_frame)
@@ -116,63 +115,63 @@ class TestGreedyScan:
 
     def test_clique_one_per_round(self):
         g = complete(3)
-        p = greedy_scan_painter([0, 1, 2])
+        p = GreedyScanPainter([0, 1, 2])
         state = fresh_state(TokenBudgets.uniform(3, 3))
         assert p.choose_colors(state, g, {0, 1, 2}) == {0}
 
     def test_independent_set_all_colored(self):
         g = Graph(3, [])
-        p = greedy_scan_painter([0, 1, 2])
+        p = GreedyScanPainter([0, 1, 2])
         state = fresh_state(TokenBudgets.uniform(3, 1))
         assert p.choose_colors(state, g, {0, 1, 2}) == {0, 1, 2}
 
     def test_c4_scan_colors_opposite_pair(self):
         g = cycle(4)
-        p = greedy_scan_painter([0, 1, 2, 3])
+        p = GreedyScanPainter([0, 1, 2, 3])
         state = fresh_state(TokenBudgets.uniform(4, 2))
         assert p.choose_colors(state, g, {0, 1, 2, 3}) == {0, 2}
 
     def test_rejects_non_permutation(self):
         with pytest.raises(PreconditionError):
-            greedy_scan_painter([0, 0, 1])
+            GreedyScanPainter([0, 0, 1])
 
 
 class TestCliquePainter:
     def test_min_token_rule(self):
         g = complete(2)
-        p = clique_painter()
+        p = CliquePainter()
         state = fresh_state(TokenBudgets([2, 1]))
         assert p.choose_colors(state, g, {0, 1}) == {1}
 
     def test_ties_by_id(self):
         g = complete(3)
         state = fresh_state(TokenBudgets.uniform(3, 2))
-        assert clique_painter().choose_colors(state, g, {1, 2}) == {1}
+        assert CliquePainter().choose_colors(state, g, {1, 2}) == {1}
 
     def test_k4_budget_4_beats_oracle_adversary(self):
         g = complete(4)
         budgets = TokenBudgets.uniform(4, 4)
-        t = play_game(g, budgets, oracle_lister(g, budgets), clique_painter())
+        t = play_game(g, budgets, OracleLister(g, budgets), CliquePainter())
         assert t.winner == "painter"
 
     def test_k4_budget_3_loses_to_oracle_adversary(self):
         g = complete(4)
         budgets = TokenBudgets.uniform(4, 3)
-        t = play_game(g, budgets, oracle_lister(g, budgets), clique_painter())
+        t = play_game(g, budgets, OracleLister(g, budgets), CliquePainter())
         assert t.winner == "lister"
 
     def test_k4_budget_4_beats_implemented_listers(self):
         g = complete(4)
         budgets = TokenBudgets.uniform(4, 4)
-        for lister in [pressure_lister()] + [random_lister(s) for s in range(50)]:
-            assert play_game(g, budgets, lister, clique_painter()).winner == \
+        for lister in [PressureLister()] + [RandomLister(s) for s in range(50)]:
+            assert play_game(g, budgets, lister, CliquePainter()).winner == \
                 "painter"
 
 
 class TestTheoremPainter:
     def test_precondition_on_petersen(self):
         with pytest.raises(PreconditionError):
-            main_theorem_painter(petersen(), 3)
+            TheoremPainter(petersen(), 3)
 
     def test_beats_random_listers_on_mcgee(self):
         g = mcgee()
@@ -180,24 +179,24 @@ class TestTheoremPainter:
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
         for seed in range(200):
-            t = play_game(game_graph, budgets, random_lister(seed), painter)
+            t = play_game(game_graph, budgets, RandomLister(seed), painter)
             assert t.winner == "painter"
             assert validate_transcript(game_graph, budgets, t) is None
 
     def test_beats_pressure_lister_on_mcgee(self):
         g = mcgee()
-        painter = main_theorem_painter(g, 3)
+        painter = TheoremPainter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-        t = play_game(game_graph, budgets, pressure_lister(), painter)
+        t = play_game(game_graph, budgets, PressureLister(), painter)
         assert t.winner == "painter"
 
     def test_no_counters_stay_in_range(self):
         g = mcgee()
-        painter = main_theorem_painter(g, 3)
+        painter = TheoremPainter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-        listers = ([random_lister(seed) for seed in range(50)]
+        listers = ([RandomLister(seed) for seed in range(50)]
                    + late_vertex_attacks(painter.frame, game_graph)
                    + drains(painter.frame, game_graph))
         for lister in listers:
@@ -207,21 +206,21 @@ class TestTheoremPainter:
 
     def test_deterministic_transcripts(self):
         g = mcgee()
-        painter = main_theorem_painter(g, 3)
+        painter = TheoremPainter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-        t1 = play_game(game_graph, budgets, random_lister(11), painter)
-        t2 = play_game(game_graph, budgets, random_lister(11), painter)
+        t1 = play_game(game_graph, budgets, RandomLister(11), painter)
+        t2 = play_game(game_graph, budgets, RandomLister(11), painter)
         assert t1.to_json() == t2.to_json()
 
     def test_starved_budget_is_a_lister_win(self):
         # Far below the bound the pressure lister starves a vertex; the
         # referee records the loss and the transcript validates.
         g = mcgee()
-        painter = main_theorem_painter(g, 3)
+        painter = TheoremPainter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, 3)
-        t = play_game(game_graph, budgets, pressure_lister(), painter)
+        t = play_game(game_graph, budgets, PressureLister(), painter)
         assert (t.winner, t.loser_vertex, len(t.rounds)) == ("lister", 0, 3)
         assert validate_transcript(game_graph, budgets, t) is None
 
@@ -246,8 +245,8 @@ class TestTheoremPainter:
             painter, _, _ = dispatch_painter(g, k)
             game_graph = kth_power(g, k)
             budgets = TokenBudgets.uniform(g.n, painter.M - 1)
-            listers = ([random_lister(s) for s in range(50)]
-                       + [pressure_lister()]
+            listers = ([RandomLister(s) for s in range(50)]
+                       + [PressureLister()]
                        + late_vertex_attacks(painter.frame, game_graph)
                        + drains(painter.frame, game_graph))
             for lister in listers:
@@ -257,11 +256,11 @@ class TestTheoremPainter:
 
     def test_frame_vertices_colored_before_exhaustion(self):
         g = mcgee()
-        painter = main_theorem_painter(g, 3)
+        painter = TheoremPainter(g, 3)
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, painter.M - 1)
         f = painter.frame
-        listers = ([random_lister(seed) for seed in range(100)]
+        listers = ([RandomLister(seed) for seed in range(100)]
                    + late_vertex_attacks(f, game_graph)
                    + drains(f, game_graph))
         for lister in listers:
@@ -348,7 +347,7 @@ class TestCertificate:
             for u in sorted(targets):
                 lister = ConverseLister(game_graph, order, u)
                 t = play_game(game_graph, budgets, lister,
-                              greedy_scan_painter(order))
+                              GreedyScanPainter(order))
                 assert (t.winner, t.loser_vertex, len(t.rounds)) == (
                     "lister", u, d - 1), (order == frame_order, u)
                 assert validate_transcript(game_graph, budgets, t) is None
@@ -529,7 +528,7 @@ class TestDispatch:
         game_graph = kth_power(g, 3)
         budgets = TokenBudgets.uniform(g.n, bound_D(3, 3) - 1)
         for seed in range(100):
-            t = play_game(game_graph, budgets, random_lister(seed), painter)
+            t = play_game(game_graph, budgets, RandomLister(seed), painter)
             assert t.winner == "painter"
-        t = play_game(game_graph, budgets, pressure_lister(), painter)
+        t = play_game(game_graph, budgets, PressureLister(), painter)
         assert t.winner == "painter"
