@@ -18,29 +18,22 @@ from .errors import IllegalListerMove, IllegalPainterMove, PowerPaintError
 from .graph import Graph
 
 
-class TokenBudgets:
-    """Per-vertex reveal budgets (list sizes)."""
+class TokenBudgets(tuple):
+    """Per-vertex reveal budgets (list sizes): a tuple of ints >= 1,
+    checked once when it is built."""
 
-    def __init__(self, f: list[int]):
-        if any(x < 1 for x in f):
-            raise PowerPaintError("every budget must be >= 1")
-        self.f = tuple(f)
+    def __new__(cls, f):
+        self = super().__new__(cls, f)
+        for x in self:
+            if type(x) is not int:
+                raise PowerPaintError(f"budget {x!r} is not an integer")
+            if x < 1:
+                raise PowerPaintError("every budget must be >= 1")
+        return self
 
     @classmethod
     def uniform(cls, n: int, t: int) -> "TokenBudgets":
         return cls([t] * n)
-
-    def __getitem__(self, v: int) -> int:
-        return self.f[v]
-
-    def total(self) -> int:
-        return sum(self.f)
-
-    def __len__(self):
-        return len(self.f)
-
-    def __eq__(self, other):
-        return isinstance(other, TokenBudgets) and self.f == other.f
 
 
 class GameState:
@@ -50,7 +43,7 @@ class GameState:
 
     def __init__(self, budgets: TokenBudgets):
         self.budgets = budgets
-        self.tokens = dict(enumerate(budgets.f))
+        self.tokens = dict(enumerate(budgets))
         self.round = 0  # 1-based once play starts
 
 
@@ -78,7 +71,7 @@ class Transcript:
             "header": {
                 "n": self.n,
                 "k": self.k,
-                "budget": list(self.budgets.f),
+                "budget": list(self.budgets),
                 "painter": self.painter_name,
                 "lister": self.lister_name,
                 "seed": self.seed,
@@ -98,14 +91,14 @@ class Transcript:
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
         """Parse one line of ``to_json``. Invalid JSON, a missing key, a
-        wrong container type or a non-integer count or id raises
-        PowerPaintError."""
+        wrong container type, a non-integer count or id or a bad budget
+        raises PowerPaintError."""
         try:
             obj = json.loads(text)
             h = obj["header"]
             t = cls(
                 n=_int(h["n"], "n"),
-                budgets=TokenBudgets([_int(x, "budget") for x in h["budget"]]),
+                budgets=TokenBudgets(h["budget"]),
                 painter_name=h["painter"],
                 lister_name=h["lister"],
                 seed=h.get("seed"),
@@ -130,7 +123,7 @@ class Transcript:
 def _int(x, what: str) -> int:
     """A count, id or round index read from a transcript. JSON numbers
     such as 2.0 or true compare equal to ints, so they would pass the
-    replay's checks (budgets included) and fail later, or never."""
+    replay's checks and fail later, or never."""
     if type(x) is not int:
         raise PowerPaintError(f"transcript {what} {x!r} is not an integer")
     return x
@@ -184,7 +177,7 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
     """
     if len(budgets) != game_graph.n:
         raise PowerPaintError("budget length does not match vertex count")
-    max_rounds = budgets.total()
+    max_rounds = sum(budgets)
     lister.reset()
     painter.reset()
     state = GameState(budgets)

@@ -129,6 +129,9 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) < 3 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(f"bad problem line {raw!r} (line {lineno})")
             n = _dimacs_int(parts[2], raw, lineno)
+            if n > _G6_MAX_LONG:
+                raise ParseError(f"{n} vertices exceeds the cap "
+                                 f"{_G6_MAX_LONG} in {raw!r} (line {lineno})")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(f"edge before problem line (line {lineno})")

@@ -97,9 +97,9 @@ class PaintabilitySolver:
         if game_graph.n > DEFAULT_VERTEX_CAP:
             raise CapExceededError(
                 f"{game_graph.n} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
-        if budgets.total() > DEFAULT_TOKEN_CAP:
+        if sum(budgets) > DEFAULT_TOKEN_CAP:
             raise CapExceededError(
-                f"total budget {budgets.total()} exceeds cap {DEFAULT_TOKEN_CAP}")
+                f"total budget {sum(budgets)} exceeds cap {DEFAULT_TOKEN_CAP}")
         self.n = game_graph.n
         self.adj_masks = game_graph.masks
         self.budgets = budgets
@@ -107,8 +107,7 @@ class PaintabilitySolver:
 
     def solve(self) -> str:
         alive = (1 << self.n) - 1
-        tokens = tuple(self.budgets.f)
-        return PAINTER if self._painter_wins(alive, tokens) else LISTER
+        return PAINTER if self._painter_wins(alive, self.budgets) else LISTER
 
     def winning_reveal(self, tokens_by_vertex) -> Optional[set[int]]:
         """A reveal from which every painter reply loses, or None if the
@@ -259,21 +258,19 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
 
     lists: list[tuple[int, ...]] = [()] * len(prefix)
 
-    def last_vertex_blocked() -> bool:
+    def last_vertex_blocked(used: int) -> bool:
         # Intersect colors on last's neighborhood over all proper
-        # prefix colorings; >= t shared colors means some list for the
-        # last vertex is uncolorable.
-        blocked: Optional[set[int]] = None
+        # prefix colorings, starting from every color in use (at least
+        # t: the first prefix vertex brings t new ones); >= t shared
+        # colors means some list for the last vertex is uncolorable.
+        blocked = set(range(used))
         coloring = [0] * len(prefix)
 
-        def colorings(i: int):
-            nonlocal blocked
-            if blocked is not None and len(blocked) < t:
-                return False
+        def colorings(i: int) -> bool:
             if i == len(prefix):
-                cols = {coloring[j] for j in last_neighbors}
-                blocked = cols if blocked is None else blocked & cols
-                return not (blocked is not None and len(blocked) < t)
+                blocked.intersection_update(
+                    coloring[j] for j in last_neighbors)
+                return len(blocked) >= t
             for c in lists[i]:
                 if all(coloring[j] != c for j in earlier_nb[i]):
                     coloring[i] = c
@@ -281,16 +278,13 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
                         return False
             return True
 
-        colorings(0)
-        if blocked is None:
-            return True  # prefix itself has no proper coloring
-        return len(blocked) >= t
+        return colorings(0)
 
     def assign(i: int, used: int) -> bool:
         """Enumerate canonical lists for prefix vertex i; False once a
         bad assignment is found."""
         if i == len(prefix):
-            return not last_vertex_blocked()
+            return not last_vertex_blocked(used)
         for new in range(t + 1):
             fresh = tuple(range(used, used + new))
             for old in combinations(range(used), t - new):

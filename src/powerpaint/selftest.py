@@ -17,8 +17,8 @@ import time
 import traceback
 from typing import Callable, NamedTuple
 
-from .game import (PressureLister, RandomLister, TokenBudgets, play_game,
-                   validate_transcript)
+from .game import (PressureLister, RandomLister, TokenBudgets, Transcript,
+                   play_game, validate_transcript)
 from .gen_io import (complete, cycle, heawood, mcgee, parse_graph6, path,
                      petersen, prism, random_regular, write_graph6)
 from .graph import Graph, bound_D, kth_power
@@ -43,11 +43,13 @@ def require(ok: bool, what: str) -> None:
 
 
 def _painter_wins_all(game_graph, budgets, painter, listers, what):
-    """Play one game per lister; each transcript must validate and end
-    in a painter win."""
+    """Play one game per lister; each transcript must come back whole
+    from a JSON round trip, validate and end in a painter win."""
     for lister in listers:
         t = play_game(game_graph, budgets, lister, painter)
-        bad = validate_transcript(game_graph, budgets, t)
+        parsed = Transcript.from_json(t.to_json())
+        require(parsed == t, f"{what}: transcript round trip changed it")
+        bad = validate_transcript(game_graph, budgets, parsed)
         require(bad is None, f"{what}: invalid transcript: {bad}")
         require(t.winner == "painter", f"{what}: the {lister.name} lister "
                 f"(seed {getattr(lister, 'seed', None)}) won: vertex "
@@ -237,7 +239,7 @@ def criterion_8_round_trips(full: bool) -> str:
     _painter_wins_all(kth_power(g, 3), uni(g.n, 20), painter,
                       [RandomLister(seed) for seed in range(games)],
                       "Heawood^3")
-    return f"{trips} graph6 round trips + {games} validated transcripts"
+    return f"{trips} graph6 round trips + {games} transcript round trips"
 
 
 CHECKS = [

@@ -71,6 +71,14 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["case"]["kind"] == "ShortCycle"
 
+    def test_dimacs_n_over_the_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.col"
+        path.write_text("p edge 258048 0\n")
+        code, _, err = run(capsys, "analyze", "--input", str(path),
+                           "--k", "3")
+        assert code == 2
+        assert "exceeds the cap 258047" in err and "(line 1)" in err
+
 
 class TestPower:
     def test_petersen_squared(self, capsys):

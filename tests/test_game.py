@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -132,7 +133,7 @@ class TestReferee:
         for seed in range(20):
             t = play_game(g, budgets, RandomLister(seed),
                           GreedyScanPainter(range(5)))
-            assert len(t.rounds) <= budgets.total()
+            assert len(t.rounds) <= sum(budgets)
 
     def test_progress_measure_strictly_decreases(self):
         g = cycle(5)
@@ -298,6 +299,32 @@ MALFORMED = [
 def test_from_json_rejects_malformed_lines(case, text, expected):
     with pytest.raises(PowerPaintError, match=expected):
         Transcript.from_json(text)
+
+
+def test_budgets_read_a_generator_once():
+    budgets = TokenBudgets(x for x in [2, 3, 1])
+    assert budgets == (2, 3, 1) and isinstance(budgets, tuple)
+
+
+# Entries that compare like a whole number of tokens but are not one,
+# and entries below 1: (case, entry, expected message).
+BAD_BUDGETS = [
+    ("float", 1.5, "budget 1.5 is not an integer"),
+    ("integral float", 2.0, "budget 2.0 is not an integer"),
+    ("bool", True, "budget True is not an integer"),
+    ("string", "3", "budget '3' is not an integer"),
+    ("zero", 0, "every budget must be >= 1"),
+    ("negative", -2, "every budget must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("case,entry,expected", BAD_BUDGETS,
+                         ids=[c[0] for c in BAD_BUDGETS])
+def test_budgets_reject_a_bad_entry(case, entry, expected):
+    with pytest.raises(PowerPaintError, match=re.escape(expected)):
+        TokenBudgets([2, entry, 2])
+    with pytest.raises(PowerPaintError, match=re.escape(expected)):
+        TokenBudgets.uniform(3, entry)
 
 
 def _accepts(g: Graph, colored: set[int]) -> bool:

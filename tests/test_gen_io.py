@@ -208,6 +208,13 @@ class TestDimacs:
         with pytest.raises(ParseError, match=f"line {lineno}"):
             parse_dimacs(text)
 
+    def test_rejects_n_over_the_cap_before_building(self):
+        # One over graph6's long-form limit; no Graph is built.
+        with pytest.raises(ParseError, match=(
+                r"^258048 vertices exceeds the cap 258047 in "
+                r"'p edge 258048 0' \(line 2\)$")):
+            parse_dimacs("c too big\np edge 258048 0\n")
+
     @pytest.mark.parametrize("name", ["g.g6", "g.col"])
     def test_undecodable_file_is_a_parse_error(self, tmp_path, name):
         target = tmp_path / name
