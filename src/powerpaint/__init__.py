@@ -32,7 +32,6 @@ from .graph import (
     structural_report,
 )
 from .gen_io import (
-    GraphFamilySpec,
     complete,
     cycle,
     heawood,

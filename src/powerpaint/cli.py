@@ -39,10 +39,8 @@ def _load_graph(args) -> Graph:
     if args.input:
         return gen_io.load_graph_file(args.input)
     if args.family:
-        spec = gen_io.GraphFamilySpec(
-            family=args.family, n=args.n, degree=args.degree,
-            depth=args.depth, seed=args.gen_seed)
-        return gen_io.named_graph(spec)
+        return gen_io.named_graph(args.family, n=args.n, degree=args.degree,
+                                  depth=args.depth, seed=args.gen_seed)
     raise PowerPaintError("no graph given: pass --input or --family")
 
 

@@ -32,9 +32,8 @@ class GiveUpError(PowerPaintError):
 
 
 class CapExceededError(PowerPaintError):
-    """An input exceeds a fixed size cap: the exact oracles' vertex,
-    token and list-size caps, or the cycle-count cap of
-    ``enumerate_cycles``."""
+    """An input exceeds a fixed size cap: the exact oracles' vertex and
+    list-size caps, or the cycle-count cap of ``enumerate_cycles``."""
 
 
 class IllegalListerMove(PowerPaintError):

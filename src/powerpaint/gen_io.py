@@ -15,9 +15,9 @@ on every platform, so seeded corpora are reproducible byte-for-byte.
 from __future__ import annotations
 
 import binascii
+import inspect
 import random
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GiveUpError, ParseError, PreconditionError
@@ -183,15 +183,6 @@ _PETERSEN_EDGES = [
 ]
 
 
-@dataclass(frozen=True)
-class GraphFamilySpec:
-    family: str
-    n: Optional[int] = None
-    degree: Optional[int] = None
-    depth: Optional[int] = None
-    seed: Optional[int] = None
-
-
 def lcf(shifts: list[int], reps: int) -> Graph:
     """Cubic Hamiltonian graph from LCF notation ``shifts^reps`` (Frucht
     1977): the n-cycle plus a chord from i to i + shifts[i % len(shifts)]."""
@@ -294,30 +285,28 @@ def random_regular(n: int, degree: int, seed: int) -> Graph:
         f"after {DEFAULT_PAIRING_ATTEMPTS} pairing attempts")
 
 
-# family -> (the GraphFamilySpec fields it requires, builder from the spec)
-_FAMILIES = {
-    "petersen": ((), lambda s: petersen()),
-    "heawood": ((), lambda s: heawood()),
-    "mcgee": ((), lambda s: mcgee()),
-    "complete": (("n",), lambda s: complete(s.n)),
-    "cycle": (("n",), lambda s: cycle(s.n)),
-    "path": (("n",), lambda s: path(s.n)),
-    "prism": ((), lambda s: prism(3 if s.n is None else s.n)),
-    "random_regular": (("n", "degree", "seed"),
-                       lambda s: random_regular(s.n, s.degree, s.seed)),
-    "regular_tree": (("degree", "depth"),
-                     lambda s: regular_tree(s.degree, s.depth)),
-}
+# family -> builder, named after it; its parameters are ``named_graph``'s
+_FAMILIES = {build.__name__: build for build in (
+    petersen, heawood, mcgee, complete, cycle, path, prism, random_regular,
+    regular_tree)}
 FAMILIES = tuple(_FAMILIES)
 
 
-def named_graph(spec: GraphFamilySpec) -> Graph:
-    if spec.family not in _FAMILIES:
+def named_graph(family: str, *, n: Optional[int] = None,
+                degree: Optional[int] = None, depth: Optional[int] = None,
+                seed: Optional[int] = None) -> Graph:
+    """The graph of a named family, built from the parameters its builder
+    takes; a parameter the builder gives no default is required."""
+    if family not in _FAMILIES:
         raise PreconditionError(
-            f"unknown family {spec.family!r} (known: {FAMILIES})")
-    needs, build = _FAMILIES[spec.family]
-    for f in needs:
-        if getattr(spec, f) is None:
+            f"unknown family {family!r} (known: {FAMILIES})")
+    build = _FAMILIES[family]
+    given = {"n": n, "degree": degree, "depth": depth, "seed": seed}
+    args = {}
+    for name, param in inspect.signature(build).parameters.items():
+        if given[name] is not None:
+            args[name] = given[name]
+        elif param.default is param.empty:
             raise PreconditionError(
-                f"family {spec.family!r} requires parameter {f!r}")
-    return build(spec)
+                f"family {family!r} requires parameter {name!r}")
+    return build(**args)

@@ -13,7 +13,7 @@ concern. Powers and the two whole-graph metrics, ``girth`` and
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 from .errors import (
@@ -347,15 +347,7 @@ class StructuralReport:
     two_k_cycles_disjoint: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_degree": self.max_degree,
-            "is_regular": self.is_regular,
-            "girth": self.girth,
-            "diameter": self.diameter,
-            "two_k_cycles": [list(c) for c in self.two_k_cycles],
-            "two_k_cycles_disjoint": self.two_k_cycles_disjoint,
-        }
+        return asdict(self)
 
 
 def structural_report(g: Graph, k: int) -> StructuralReport:

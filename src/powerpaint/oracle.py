@@ -16,7 +16,6 @@ PAINTER = "painter"
 LISTER = "lister"
 
 DEFAULT_VERTEX_CAP = 12
-DEFAULT_TOKEN_CAP = 128
 
 
 def _clique_painter_wins(tokens: tuple[int, ...]) -> bool:
@@ -76,7 +75,8 @@ class PaintabilitySolver:
     and no neighbour of v is colored that round. Each round that reveals
     v and leaves it uncolored colors one of its neighbours, and each
     neighbour is colored once, so v loses at most deg(v) < tokens[v]
-    tokens (Schauz 2009; Zhu 2009).
+    tokens (Schauz 2009; Zhu 2009). Peeling thus bounds each state's
+    tokens on v by v's alive degree, so only the vertex cap is needed.
 
     The lister only ever reveals a set S in which every vertex has a
     neighbour inside S. Say v has none. Every maximal reply to S is
@@ -97,9 +97,6 @@ class PaintabilitySolver:
         if game_graph.n > DEFAULT_VERTEX_CAP:
             raise CapExceededError(
                 f"{game_graph.n} vertices exceeds cap {DEFAULT_VERTEX_CAP}")
-        if sum(budgets) > DEFAULT_TOKEN_CAP:
-            raise CapExceededError(
-                f"total budget {sum(budgets)} exceeds cap {DEFAULT_TOKEN_CAP}")
         self.n = game_graph.n
         self.adj_masks = game_graph.masks
         self.budgets = budgets

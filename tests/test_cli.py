@@ -217,6 +217,12 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["winner"] == "lister"
 
+    def test_budget_above_every_degree_is_a_painter_win(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "complete", "--n",
+                           "11", "--budget", "12")
+        assert code == 0
+        assert json.loads(out)["winner"] == "painter"
+
     def test_cap_exceeded_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "mcgee",
                            "--budget", "2")

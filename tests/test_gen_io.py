@@ -10,7 +10,6 @@ from powerpaint import gen_io
 from powerpaint.errors import GiveUpError, ParseError, PreconditionError
 from powerpaint.gen_io import (
     FAMILIES,
-    GraphFamilySpec,
     complete,
     cycle,
     heawood,
@@ -285,25 +284,25 @@ class TestNamedGraphs:
                             "regular_tree")
         required = {"n": 5, "degree": 2, "depth": 2, "seed": 0}
         for family in FAMILIES:
-            g = named_graph(GraphFamilySpec(family, **required))
+            g = named_graph(family, **required)
             assert g.n >= 5 and g.connected, family
-        assert named_graph(GraphFamilySpec("cycle", n=5)) == cycle(5)
-        assert named_graph(GraphFamilySpec("prism")) == prism(3)
-        assert named_graph(GraphFamilySpec("prism", n=4)) == prism(4)
-        assert named_graph(GraphFamilySpec("mcgee")) == mcgee()
+        assert named_graph("cycle", n=5) == cycle(5)
+        assert named_graph("prism") == prism(3)
+        assert named_graph("prism", n=4) == prism(4)
+        assert named_graph("mcgee") == mcgee()
         with pytest.raises(PreconditionError, match=(
                 r"^unknown family 'nosuch' \(known: \('petersen', "
                 r"'heawood', .*'regular_tree'\)\)$")):
-            named_graph(GraphFamilySpec("nosuch"))
+            named_graph("nosuch")
         with pytest.raises(PreconditionError, match=(
                 "^family 'complete' requires parameter 'n'$")):
-            named_graph(GraphFamilySpec("complete"))
+            named_graph("complete")
         with pytest.raises(PreconditionError, match=(
                 "^family 'random_regular' requires parameter 'seed'$")):
-            named_graph(GraphFamilySpec("random_regular", n=6, degree=3))
+            named_graph("random_regular", n=6, degree=3)
         with pytest.raises(PreconditionError, match=(
                 "^family 'regular_tree' requires parameter 'degree'$")):
-            named_graph(GraphFamilySpec("regular_tree"))
+            named_graph("regular_tree")
 
     def test_lcf_single_shift_is_k33(self):
         # [3]^6 joins each vertex to the three of opposite parity

@@ -98,17 +98,17 @@ class TestPaintability:
         with pytest.raises(CapExceededError):
             solve_paintability(g, uni(13, 2))
 
-    def test_caps_env_override(self, monkeypatch):
+    def test_vertex_cap_is_read_per_solver(self, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 13)
         g = cycle(13)
         assert solve_paintability(g, uni(13, 2)) == LISTER
 
-    def test_token_cap_boundary(self):
-        with pytest.raises(CapExceededError,
-                           match="^total budget 132 exceeds cap 128$"):
-            solve_paintability(complete(11), uni(11, 12))
-        assert solve_paintability(cycle(8), uni(8, 16)) == PAINTER
-        assert solve_paintability(path(12), uni(12, 2)) == PAINTER
+    def test_budgets_above_every_degree_are_decided_at_the_root(self):
+        # peeling deletes every vertex at the root, whatever the budgets
+        for g, t in [(complete(11), 12), (cycle(12), 10 ** 9)]:
+            solver = PaintabilitySolver(g, uni(g.n, t))
+            assert solver.solve() == PAINTER
+            assert len(solver.memo) == 0
 
     def test_winning_reveal_reported(self):
         g = cycle(5)
