@@ -33,11 +33,15 @@ def _clique_painter_wins(tokens: tuple[int, ...]) -> bool:
     return all(f >= i for i, f in enumerate(sorted(tokens), start=1))
 
 
-def _peel(adj: tuple[int, ...], alive: int, tokens) -> int:
+def _peel(adj: tuple[int, ...], alive: int, tokens,
+          todo: Optional[int] = None) -> int:
     """The alive mask left once every vertex with more tokens than
     alive neighbours is deleted, repeatedly. A deletion lowers only its
-    neighbours' degrees, so only they are checked again."""
-    todo = alive
+    neighbours' degrees, so only they are checked again. ``todo`` (every
+    alive vertex by default) is the set to check first; a caller may
+    pass fewer when it knows the others pass."""
+    if todo is None:
+        todo = alive
     while todo:
         v = (todo & -todo).bit_length() - 1
         todo ^= 1 << v
@@ -47,12 +51,14 @@ def _peel(adj: tuple[int, ...], alive: int, tokens) -> int:
     return alive
 
 
-def _is_clique(adj_masks: tuple[int, ...], alive_mask: int, n: int) -> bool:
-    for v in range(n):
-        if alive_mask >> v & 1:
-            if alive_mask & ~(adj_masks[v] | 1 << v):
-                return False
-    return True
+def _bits(mask: int) -> list[int]:
+    """The vertices of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class PaintabilitySolver:
@@ -65,7 +71,9 @@ class PaintabilitySolver:
     Coloring a superset J of I leaves the successor of I minus the
     vertices of J not in I, with the same tokens on every vertex left,
     and a painter who wins on a graph wins on each of its induced
-    subgraphs (Zhu 2009).
+    subgraphs (Zhu 2009). A revealed vertex with one token left dies
+    unless colored, so only the maximal independent sets that contain
+    every such vertex are tried, and none if two of them are adjacent.
 
     Every state is peeled first: an alive vertex v with more tokens
     than alive neighbours is deleted, repeatedly. The verdict is
@@ -77,6 +85,9 @@ class PaintabilitySolver:
     neighbour is colored once, so v loses at most deg(v) < tokens[v]
     tokens (Schauz 2009; Zhu 2009). Peeling thus bounds each state's
     tokens on v by v's alive degree, so only the vertex cap is needed.
+    A reply is applied to a peeled state and tokens only fall, so only
+    the neighbours of the colored vertices can newly peel: the
+    successor's peel starts from them alone.
 
     The lister only ever reveals a set S in which every vertex has a
     neighbour inside S. Say v has none. Every maximal reply to S is
@@ -101,6 +112,7 @@ class PaintabilitySolver:
         self.adj_masks = game_graph.masks
         self.budgets = budgets
         self.memo = {}
+        self._nbr = None  # nbr[S]: the union of S's neighbourhoods
 
     def solve(self) -> str:
         alive = (1 << self.n) - 1
@@ -117,32 +129,39 @@ class PaintabilitySolver:
             tokens[v] = left
         if self._painter_wins(alive, tuple(tokens)):
             return None
-        # a reveal that wins on the peeled core wins on the full state
+        # a reveal that wins on the peeled core wins on the full state,
+        # and _painter_survives peels successors from a peeled state
         core = _peel(self.adj_masks, alive, tokens)
         for reveal in self._reveals(core):
             if not self._painter_survives(core, tuple(tokens), reveal):
-                return {v for v in range(self.n) if reveal >> v & 1}
+                return set(_bits(reveal))
         raise AssertionError("lister-winning state with no winning reveal")
 
     # -- internals ---------------------------------------------------------
 
     def _reveals(self, alive: int):
         """The nonempty subsets of ``alive`` in which every vertex has a
-        neighbour inside the subset."""
-        adj = self.adj_masks
+        neighbour inside the subset, in descending order."""
+        nbr = self._nbr
+        if nbr is None:
+            nbr = self._nbr = [0]
+            for m in self.adj_masks:
+                nbr += [s | m for s in nbr]
         sub = alive
         while sub:
-            if all(adj[v] & sub for v in range(self.n) if sub >> v & 1):
+            if not sub & ~nbr[sub]:
                 yield sub
             sub = (sub - 1) & alive
 
-    def _painter_wins(self, alive: int, tokens: tuple[int, ...]) -> bool:
-        alive = _peel(self.adj_masks, alive, tokens)
+    def _painter_wins(self, alive: int, tokens: tuple[int, ...],
+                      todo: Optional[int] = None) -> bool:
+        adj = self.adj_masks
+        alive = _peel(adj, alive, tokens, todo)
         if alive == 0:
             return True
-        alive_tokens = tuple(tokens[v] for v in range(self.n)
-                             if alive >> v & 1)
-        if _is_clique(self.adj_masks, alive, self.n):
+        vs = _bits(alive)
+        alive_tokens = tuple([tokens[v] for v in vs])
+        if all(alive & ~adj[v] == 1 << v for v in vs):
             return _clique_painter_wins(alive_tokens)
         key = (alive, alive_tokens)
         if key not in self.memo:
@@ -152,38 +171,46 @@ class PaintabilitySolver:
 
     def _painter_survives(self, alive: int, tokens: tuple[int, ...],
                           reveal: int) -> bool:
-        """True if some maximal independent subset of the reveal leads
-        the painter to a winning successor."""
-        vs = [v for v in range(self.n) if reveal >> v & 1]
-        for colored in self._replies(vs):
+        """True if some maximal independent subset of the reveal that
+        colors every one-token vertex leads the painter to a winning
+        successor. ``alive`` must be peeled under ``tokens``."""
+        vs = _bits(reveal)
+        forced = sum(1 << v for v in vs if tokens[v] == 1)
+        for colored, touched in self._replies(reveal, forced):
             new_tokens = list(tokens)
             for v in vs:
                 if not colored >> v & 1:
-                    if new_tokens[v] == 1:
-                        break
                     new_tokens[v] -= 1
-            else:
-                if self._painter_wins(alive & ~colored, tuple(new_tokens)):
-                    return True
+            rest = alive & ~colored
+            if self._painter_wins(rest, tuple(new_tokens), touched & rest):
+                return True
         return False
 
-    def _replies(self, vs: list[int]):
-        """The maximal independent subsets of the revealed vertices
-        ``vs``, as masks, each generated once and only when asked for."""
+    def _replies(self, reveal: int, forced: int):
+        """The maximal independent subsets of ``reveal`` that contain
+        ``forced``, as ``(colored, touched)`` masks, where ``touched`` is
+        the union of the colored vertices' neighbourhoods. Each is
+        generated once, include-first along the vertices, and only when
+        asked for; there are none if ``forced`` is not independent."""
         adj = self.adj_masks
-        reveal = sum(1 << v for v in vs)
-
-        def rec(i: int, chosen: int, blocked: int):
+        touched = 0
+        for v in _bits(forced):
+            touched |= adj[v]
+        if touched & forced:
+            return
+        free = reveal & ~(forced | touched)
+        vs = _bits(free)
+        stack = [(0, forced, touched)]
+        while stack:
+            i, colored, touched = stack.pop()
             if i == len(vs):
-                if not reveal & ~(chosen | blocked):
-                    yield chosen
-                return
+                if not free & ~(colored | touched):
+                    yield colored, touched
+                continue
             v = vs[i]
-            if not blocked >> v & 1:
-                yield from rec(i + 1, chosen | 1 << v, blocked | adj[v])
-            yield from rec(i + 1, chosen, blocked)
-
-        yield from rec(0, 0, 0)
+            stack.append((i + 1, colored, touched))
+            if not touched >> v & 1:
+                stack.append((i + 1, colored | 1 << v, touched | adj[v]))
 
 
 def solve_paintability(game_graph: Graph, budgets: TokenBudgets) -> str:

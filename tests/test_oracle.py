@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import random
 
@@ -80,18 +82,52 @@ class TestPaintability:
                 g.edges(), f)
 
     def test_replies_are_the_maximal_independent_sets(self):
-        solver = PaintabilitySolver(path(6), uni(6, 2))
+        g = path(6)
+        solver = PaintabilitySolver(g, uni(6, 2))
 
-        def as_sets(vs):
-            replies = list(solver._replies(vs))
+        def as_sets(vs, forced=()):
+            replies = list(solver._replies(sum(1 << v for v in vs),
+                                           sum(1 << v for v in forced)))
             assert len(replies) == len(set(replies))
-            return {frozenset(v for v in vs if m >> v & 1) for m in replies}
+            for colored, touched in replies:
+                assert touched == _union(g, colored)
+            return {frozenset(v for v in vs if m >> v & 1) for m, _ in replies}
 
         assert as_sets([0, 1, 2, 3, 4]) == {
             frozenset(s) for s in ([0, 2, 4], [0, 3], [1, 3], [1, 4])}
         assert as_sets([1, 2, 3, 5]) == {
             frozenset(s) for s in ([1, 3, 5], [2, 5])}
         assert as_sets([4]) == {frozenset([4])}
+        # forced vertices: an adjacent pair leaves no reply, and otherwise
+        # the replies are the maximal independent sets that contain them
+        assert as_sets([0, 1, 2, 3, 4], forced=[2, 3]) == set()
+        assert as_sets([0, 1, 2, 3, 4], forced=[3]) == {
+            frozenset(s) for s in ([0, 3], [1, 3])}
+        assert as_sets([0, 1, 2, 3, 4], forced=[0, 4]) == {
+            frozenset([0, 2, 4])}
+
+    def test_forced_replies_on_random_reveals(self):
+        # the maximal independent subsets of the reveal that contain the
+        # forced set, in the order of an include-first walk along the
+        # vertices, which is the order the search tries them in
+        rng = random.Random(13)
+        for i in range(200):
+            n = rng.randint(1, 9)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < (0.2, 0.4, 0.6)[i % 3]])
+            reveal = rng.randrange(1, 1 << n)
+            forced = rng.randrange(1 << n) & reveal
+            vs = [v for v in range(n) if reveal >> v & 1]
+            independent = [m for m in range(1 << n) if not m & ~reveal
+                           and not m & _union(g, m)]
+            expected = sorted(
+                (m for m in independent if m & forced == forced
+                 and not any(m | 1 << v in independent for v in vs
+                             if not m >> v & 1)),
+                key=lambda m: [not m >> v & 1 for v in vs])
+            solver = PaintabilitySolver(g, uni(n, 1))
+            got = [m for m, _ in solver._replies(reveal, forced)]
+            assert got == expected, (g.edges(), reveal, forced)
 
     def test_vertex_cap(self):
         g = cycle(13)
@@ -124,6 +160,41 @@ class TestPaintability:
         with pytest.raises(PowerPaintError,
                            match="budget length does not match vertex count"):
             solve_paintability(cycle(5), uni(n, 2))
+
+
+K33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+@pytest.mark.parametrize("g, t, verdict, states, digest", [
+    (cycle(10), 2, PAINTER, 29, "c2e8dd8f4e3b72609f1efe9cd97c1605"),
+    (prism(4), 3, PAINTER, 11, "1ecdfbe8b06510381d7ac05c8646e4c9"),
+    (K33, 3, PAINTER, 10, "a51351872ca1160d2e1168cbe3caace2"),
+    (K33, 2, LISTER, 12, "cd7b127de46a0ca6276bd814cea89bb6"),
+    (petersen(), 2, LISTER, 16, "dec769636b289fc1b06107c818198f06"),
+    (cycle(5), 2, LISTER, 1, "b45cbace3cb9442e6bcd03594ab50ba7"),
+], ids=["C10/2", "prism4/3", "K33/3", "K33/2", "Petersen/2", "C5/2"])
+def test_search_is_pinned(g, t, verdict, states, digest):
+    # the verdict, the memo's size and its every entry: a faster node
+    # must search the same states and store the same verdicts
+    solver = PaintabilitySolver(g, uni(g.n, t))
+    assert solver.solve() == verdict
+    assert len(solver.memo) == states
+    memo = repr(sorted(solver.memo.items())).encode()
+    assert hashlib.md5(memo).hexdigest() == digest
+
+
+def test_a_solve_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        for g, t in [(cycle(10), 2), (prism(4), 3)]:
+            PaintabilitySolver(g, uni(g.n, t)).solve()
+        solver = PaintabilitySolver(petersen(), uni(10, 2))
+        assert solver.winning_reveal({v: 2 for v in range(10)})
+        del solver
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPeeling:
@@ -170,6 +241,43 @@ class TestPeeling:
             peeled = _peel(g.masks, alive, tokens)
             assert peeled == sum(1 << v for v in expected), (
                 g.edges(), alive, tokens)
+
+    def test_peel_from_the_colored_neighbours_matches_full_peel(self):
+        # a reply to a peeled state can newly peel only the neighbours of
+        # the vertices it colors
+        rng = random.Random(17)
+        checked = peeled = 0
+        for i in range(300):
+            n = rng.randint(2, 9)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < (0.3, 0.5, 0.7)[i % 3]])
+            tokens = tuple(rng.randint(1, max(1, g.degree(v)))
+                           for v in range(n))
+            alive = _peel(g.masks, (1 << n) - 1, tokens)
+            solver = PaintabilitySolver(g, uni(n, 1))
+            reveals = list(solver._reveals(alive))
+            if not reveals:
+                continue
+            for reveal in rng.sample(reveals, min(4, len(reveals))):
+                forced = sum(1 << v for v in range(n)
+                             if reveal >> v & 1 and tokens[v] == 1)
+                for colored, touched in solver._replies(reveal, forced):
+                    new_tokens = tuple(t - ((reveal & ~colored) >> v & 1)
+                                       for v, t in enumerate(tokens))
+                    rest = alive & ~colored
+                    full = _peel(g.masks, rest, new_tokens)
+                    assert _peel(g.masks, rest, new_tokens,
+                                 touched & rest) == full, (
+                        g.edges(), alive, tokens, reveal, colored)
+                    checked += 1
+                    peeled += full != rest
+        assert checked >= 500 and peeled >= 100, (checked, peeled)
+
+
+def _union(g, subset):
+    """The union of the neighbourhoods of the vertices in ``subset``."""
+    return sum(1 << u for u in set().union(
+        *(g.adj[v] for v in range(g.n) if subset >> v & 1)))
 
 
 class TestRevealDominance:
