@@ -5,8 +5,8 @@ main strategy.
 
 Local metric queries (cycle pruning, frames, orders) are depth-bounded
 BFS balls (``ball``) of radius at most k+1 around the vertices they
-concern. Powers and the two whole-graph metrics, ``girth`` and
-``diameter``, grow every vertex's ball at once, as bitsets, and
+concern. Powers, ``girth``, ``diameter`` and the cycle search's roots
+read one sweep that grows every vertex's ball at once, as bitsets, and
 ``classify`` computes only the facts that decide its label.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
+from itertools import count, islice
 from typing import Iterable, Optional
 
 from .errors import (
@@ -34,9 +35,9 @@ class Graph:
     Adjacency is stored as sorted tuples in ``adj`` and as bitmasks in
     ``masks``: bit u of ``masks[v]`` is set iff u is a neighbor of v, so
     "has v a neighbor in the set S" is one AND. The masks take at most
-    n²/8 bytes, the same order as the transient bitsets of ``girth``
-    and ``diameter``. Construction validates simplicity and symmetry;
-    connectivity is recorded in ``connected``.
+    n²/8 bytes, the same order as each of the at most three transient
+    bitset lists of the ball sweep (``_balls``). Construction validates
+    simplicity and symmetry; connectivity is recorded in ``connected``.
     """
 
     __slots__ = ("n", "adj", "masks", "connected")
@@ -176,23 +177,31 @@ def ball(g: Graph, sources: Iterable[int],
     return dist
 
 
-def diameter(g: Graph) -> int:
-    """Largest distance in a connected graph. Bit u of ``reach[v]`` is
-    set once u is within ``level`` hops of v; each level ORs neighbor
-    rows into every row not yet full, until every row is full."""
-    if not g.connected:
-        raise PreconditionError("diameter requires a connected graph")
-    full = (1 << g.n) - 1
-    reach = [1 << v for v in range(g.n)]
-    level, rows = 0, [v for v in range(g.n) if reach[v] != full]
+def _balls(g: Graph):
+    """Yield the balls B(v, r) of all vertices v as a list of bitsets
+    (bit u of entry v is set iff d(u, v) <= r) for r = 0, 1, ..., R, the
+    last radius at which some ball grows (the diameter, if connected).
+    Each level ORs neighbor rows into a new copy of the last one, for
+    the rows not yet full."""
+    full, cur = (1 << g.n) - 1, [1 << v for v in range(g.n)]
+    rows = [v for v in range(g.n) if cur[v] != full]
+    yield cur
     while rows:
-        level += 1
-        prev = reach[:]
+        prev, cur = cur, cur[:]
         for v in rows:
             for u in g.adj[v]:
-                reach[v] |= prev[u]
-        rows = [v for v in rows if reach[v] != full]
-    return level
+                cur[v] |= prev[u]
+        if not g.connected and cur == prev:  # else some row grew
+            return
+        yield cur
+        rows = [v for v in rows if cur[v] != full]
+
+
+def diameter(g: Graph) -> int:
+    """Largest distance in a connected graph: ``_balls``' level count."""
+    if not g.connected:
+        raise PreconditionError("diameter requires a connected graph")
+    return sum(1 for _ in _balls(g)) - 1
 
 
 def distance_order(g: Graph, targets: Iterable[int], head=(),
@@ -208,29 +217,21 @@ def distance_order(g: Graph, targets: Iterable[int], head=(),
 
 def kth_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with edges between all pairs at
-    distance 1..k in ``g``. As in ``diameter``, each level ORs neighbor
-    rows into ``reach``, so after k levels bit u of ``reach[v]`` is set
-    iff u is within k hops of v. The mask of v is ``reach[v]`` without
-    v, and its sorted neighbors are the positions of the ones in its
-    reversed binary string."""
+    distance 1..k in ``g``. Bit u of ``reach[v]``, level min(k, R) of
+    ``_balls``, is set iff u is within k hops of v. The mask of v is
+    ``reach[v]`` without v, and its sorted neighbors are the positions of
+    the ones in its reversed binary string."""
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if not g.connected:
         raise PreconditionError("kth_power requires a connected graph")
     if k == 1:
         return g
-    reach = [1 << v for v in range(g.n)]
-    for _ in range(k):
-        prev = reach[:]
-        for v in range(g.n):
-            for u in g.adj[v]:
-                reach[v] |= prev[u]
-    # Rows are loop-free once v is removed, and symmetric because
-    # distance is; a power of a connected graph is connected. The masks
-    # are made in place and the last level is dropped first, so one
-    # bitset per vertex is alive; the rows take their entries from one
-    # ``ids`` list, so they hold n int objects rather than one per entry.
-    del prev
+    for reach in islice(_balls(g), k + 1):
+        pass
+    # Rows are loop-free once v is removed, symmetric, and connected. The
+    # masks are made in place once the sweep is gone; the rows take their
+    # entries from one ``ids`` list, not one int object per entry.
     masks, rows = reach, []
     ids = list(range(g.n))
     for v in range(g.n):
@@ -247,60 +248,77 @@ def kth_power(g: Graph, k: int) -> Graph:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for a forest.
 
-    Grows every vertex's BFS levels at once, as bitsets (the all-sources
-    form of Itai & Rodeh, SIAM J. Comput. 7, 1978): ``front[v]`` holds
-    the vertices at distance exactly d from v, ``seen[v]`` those within
-    d. At level d = 0, 1, ..., with u, u' neighbors of v:
+    Tree count: for r >= 1, v and B = B(v, r-1), sum deg(x) over x in B
+    is at least |B| + |B(v, r)| - 2 (G[B] is connected, and each vertex
+    at distance r has a neighbor at distance r-1), with equality iff the
+    BFS from v to depth r is a tree: G[B] is a tree and each vertex at
+    distance r has one neighbor at distance r-1. The sum is delta * |B|
+    less (delta - d) * |B & V_d| per degree class V_d, d < delta.
 
-    - odd: ``front[v]`` meets some ``front[u]``: a cycle of length 2d+1;
-    - even: ``front[u]`` and ``front[u']`` meet outside ``seen[v]``: a
-      cycle of length 2d+2.
-
-    Sound: the two shortest paths to the common vertex, closed through
-    v, form a closed walk of that length that uses the edge vu once, so
-    it holds a cycle no longer.
-    Complete: a shortest cycle is isometric, so on one of length 2d+1
-    or 2d+2 through v the far vertex meets its rule's condition. No
-    level below d fired, so the girth is at least 2d+1, and the first
-    level that fires gives it.
+    A failure closes a walk of length <= 2r through a non-tree edge, so
+    a cycle no longer. A vertex on a cycle of length L <= 2r fails at r:
+    at most one vertex of it is at distance r, so its edges would all be
+    tree edges. So the girth exceeds 2r iff every vertex passes at r; at
+    the first failing r it is 2r-1 iff some edge uv has a vertex at
+    distance r-1 from both ends (an odd walk through uv; a shortest cycle
+    is isometric), else 2r. Radius R+1 repeats R, which tests exhausted
+    components; a forest never fails.
     """
-    front = [1 << v for v in range(g.n)]
-    seen = front[:]
-    rows, level = range(g.n), 0
-    while rows:
-        even = False
-        nxt = [0] * g.n
-        for v in rows:
-            outside = ~seen[v]
-            near = far = 0
-            for u in g.adj[v]:
-                f = front[u]
-                near |= f
-                f &= outside
-                if far & f:
-                    even = True
-                far |= f
-            if front[v] & near:
-                return 2 * level + 1
-            nxt[v] = far
-            seen[v] |= far
-        if even:
-            return 2 * level + 2
-        front, level = nxt, level + 1
-        rows = [v for v in rows if front[v]]
-    return None
+    return _sweep(g, _balls(g))[0]
 
 
-def _cycles(g: Graph, length: int):
-    """Yield every simple cycle of ``length`` vertices once, starting at
-    its least vertex s and heading to the smaller of s's two cycle
-    neighbors.
+def _tree_test(g: Graph):
+    """``failing(inner, outer)``: the vertices, ascending, that fail the
+    tree count of ``girth`` given the levels B(., r-1) and B(., r)."""
+    degrees = list(map(len, g.adj))
+    delta = max(degrees)
+    low = {delta - d: sum(1 << v for v, e in enumerate(degrees) if e == d)
+           for d in set(degrees) - {delta}}  # the classes V_d, d < delta
+
+    def failing(inner, outer):
+        excess = [(delta - 1) * a.bit_count() + 2 - b.bit_count()
+                  for a, b in zip(inner, outer)]
+        for c, m in low.items():
+            excess = [e - c * (a & m).bit_count()
+                      for e, a in zip(excess, inner)]
+        return [v for v, e in enumerate(excess) if e]
+    return failing
+
+
+def _sweep(g: Graph, balls, k: Optional[int] = None):
+    """Run the tree count over ``balls``, a fresh ``_balls(g)``: return
+    (girth, roots failing at radius k, or at the girth's radius if k is
+    None, and the last level taken that grew). It stops at the girth and
+    radius k, or when no ball grows. It keeps B(r-2) for the odd test:
+    at most three bitset lists are alive at once."""
+    failing = _tree_test(g)
+    gir = before = None
+    inner = next(balls)
+    for r in count(1):
+        outer = next(balls, inner)
+        fails = failing(inner, outer) if r > 1 else []  # none fail at 1
+        if fails and gir is None:  # the ends of the odd test's edge fail
+            odd = any(inner[u] & inner[v] & ~(before[u] | before[v])
+                      for u in fails for v in g.adj[u] if u < v)
+            gir = 2 * r - 1 if odd else 2 * r
+        if k is None or r <= k:
+            roots = fails
+        if outer is inner or gir and (k is None or r >= k):
+            return gir, roots, r - 1 if outer is inner else r
+        before, inner = inner, outer
+
+
+def _cycles(g: Graph, length: int, roots: Iterable[int]):
+    """Yield every simple cycle of ``length`` vertices whose least
+    vertex s is in ``roots`` once, from s towards the smaller of its two
+    cycle neighbors; raise ``CapExceededError`` past the cap.
 
     DFS from each root s over vertices > s, pruned by the radius
     length//2 ball of s: a vertex that still needs r more steps to get
     back to s must lie within distance r of it.
     """
-    for s in range(g.n):
+    found = 0
+    for s in roots:
         dist = ball(g, [s], length // 2)
         path, on_path, stack = [s], {s}, [iter(g.adj[s])]
         while stack:
@@ -318,22 +336,22 @@ def _cycles(g: Graph, length: int):
                 on_path.add(v)
                 stack.append(iter(g.adj[v]))
             elif path[1] < v:  # v is adjacent to s; one orientation only
+                found += 1
+                if found > DEFAULT_CYCLE_CAP:
+                    raise CapExceededError(f"more than {DEFAULT_CYCLE_CAP} "
+                                           f"cycles of length {length}")
                 yield path + [v]
 
 
 def enumerate_cycles(g: Graph, length: int) -> list[list[int]]:
     """All simple cycles of exactly ``length`` vertices, each reported
     once up to rotation/reflection, in the canonical form of
-    ``_cycles``; at most ``DEFAULT_CYCLE_CAP`` of them."""
+    ``_cycles``; at most ``DEFAULT_CYCLE_CAP`` of them. Only roots that
+    fail the tree count at radius ceil(length/2) are searched."""
     if length < 3:
         raise PreconditionError(f"cycle length must be >= 3, got {length}")
-    cap = DEFAULT_CYCLE_CAP
-    found: list[list[int]] = []
-    for c in _cycles(g, length):
-        found.append(c)
-        if len(found) > cap:
-            raise CapExceededError(f"more than {cap} cycles of length {length}")
-    return found
+    _, roots, _ = _sweep(g, _balls(g), (length + 1) // 2)
+    return list(_cycles(g, length, roots))
 
 
 @dataclass(frozen=True)
@@ -352,20 +370,21 @@ class StructuralReport:
 
 def structural_report(g: Graph, k: int) -> StructuralReport:
     """Girth, diameter, regularity and the exhaustive list of cycles of
-    length exactly 2k, with the pairwise vertex-disjointness flag. The
-    cycles are enumerated only when the girth is at most 2k."""
+    length exactly 2k, with the pairwise vertex-disjointness flag, from
+    one ball sweep; the cycle search starts at the roots failing at k."""
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
     if not g.connected:
         raise PreconditionError("structural_report requires a connected graph")
-    gir = girth(g)
-    cycles = [] if gir is None or gir > 2 * k else enumerate_cycles(g, 2 * k)
+    balls = _balls(g)
+    gir, roots, radius = _sweep(g, balls, k)
+    cycles = list(_cycles(g, 2 * k, roots))
     return StructuralReport(
         n=g.n,
         max_degree=g.max_degree,
         is_regular=g.is_regular(),
         girth=gir,
-        diameter=diameter(g),
+        diameter=radius + sum(1 for _ in balls),
         two_k_cycles=tuple(tuple(c) for c in cycles),
         two_k_cycles_disjoint=_intersecting_pair(cycles) is None,
     )
@@ -407,6 +426,8 @@ def classify(g: Graph, k: int,
     Each fact is read from ``report`` when one is given, else computed,
     and only when it can decide the label: the 2k-cycles when the girth
     is exactly 2k (below it ShortCycle fires, above it there are none).
+    Without a report, the girth's sweep gives the roots of the shortest
+    cycles (and at girth 2k of the 2k-cycles): those failing at its end.
 
     No diameter step is needed: a graph that reaches MainCase has
     diameter above k. Fix v. Girth >= 2k makes the radius-(k-1) ball of
@@ -430,13 +451,14 @@ def classify(g: Graph, k: int,
     for v in range(g.n):
         if g.degree(v) < delta:
             return CaseLabel(CaseLabel.NON_REGULAR, low_degree_vertex=v)
-    gir = girth(g) if report is None else report.girth
+    gir, roots, _ = (_sweep(g, _balls(g)) if report is None
+                     else (report.girth, range(g.n), None))
     if gir is not None and gir < 2 * k:
         return CaseLabel(CaseLabel.SHORT_CYCLE,
-                         short_cycle=tuple(next(_cycles(g, gir))))
+                         short_cycle=tuple(next(_cycles(g, gir, roots))))
     if gir == 2 * k:
-        pair = _intersecting_pair(enumerate_cycles(g, 2 * k) if report is None
-                                  else report.two_k_cycles)
+        pair = _intersecting_pair(list(_cycles(g, 2 * k, roots))
+                                  if report is None else report.two_k_cycles)
         if pair is not None:
             return CaseLabel(CaseLabel.INTERSECTING, intersecting_cycles=pair)
     return CaseLabel(CaseLabel.MAIN_CASE)

@@ -46,6 +46,36 @@ def to_nx(g: Graph) -> nx.Graph:
     return G
 
 
+def canonical_cycle(cycle) -> tuple[int, ...]:
+    """``cycle`` from its least vertex, towards the smaller of that
+    vertex's two cycle neighbours."""
+    i = cycle.index(min(cycle))
+    c = list(cycle[i:]) + list(cycle[:i])
+    return tuple(c if c[1] < c[-1] else c[:1] + c[:0:-1])
+
+
+def bfs_is_tree(g: Graph, v: int, r: int) -> bool:
+    """Whether the BFS from ``v`` to depth ``r`` is a tree: no vertex has
+    two neighbors one level up, and every edge inside B(v, r-1) joins a
+    vertex to its parent."""
+    depth, parent, frontier = {v: 0}, {v: None}, [v]
+    for d in range(1, r + 1):
+        nxt = []
+        for x in frontier:
+            for y in g.adj[x]:
+                if y not in depth:
+                    depth[y], parent[y] = d, x
+                    nxt.append(y)
+        frontier = nxt
+    for x, dx in depth.items():
+        if sum(depth.get(y) == dx - 1 for y in g.adj[x]) > 1:
+            return False
+        if dx < r and any(depth.get(y, r) < r and y != parent[x]
+                          and x != parent[y] for y in g.adj[x]):
+            return False
+    return True
+
+
 class TestBound:
     @pytest.mark.parametrize("delta", [3, 4, 5])
     def test_square_is_delta_squared(self, delta):
@@ -170,7 +200,9 @@ class TestDiameter:
         assert [diameter(b()) for b in (petersen, heawood, mcgee)] == [2, 3, 4]
 
     def test_disconnected_graph_rejected(self):
-        # No row ever fills: the diameter is undefined.
+        # No ball ever fills; the sweep would stop when none grows, at the
+        # largest eccentricity within a component. The diameter is
+        # undefined.
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(PreconditionError):
             diameter(g)
@@ -204,6 +236,28 @@ class TestGirth:
         assert [girth(b()) for b in (petersen, heawood, mcgee)] == [5, 6, 7]
         assert girth(lcf(*TUTTE_COXETER_LCF)) == 8
         assert girth(lcf(*FOSTER_LCF)) == 10
+
+    def test_tree_count_matches_bfs(self):
+        # A vertex fails the tree count at radius r iff a dict BFS from it
+        # finds a second parent, or an edge inside B(v, r-1) that is not
+        # in the BFS tree. Radii past the last level repeat it.
+        rng = random.Random(34)
+        graphs = [random_regular(2 * rng.randint(3, 12), rng.choice((3, 4)),
+                                 seed) for seed in range(20)]
+        for _ in range(60):
+            n = rng.randint(1, 24)
+            density = rng.choice((0.05, 0.1, 0.2, 0.4))
+            graphs.append(Graph(n, [(u, v) for u in range(n)
+                                    for v in range(u + 1, n)
+                                    if rng.random() < density]))
+        for g in graphs:
+            failing = graph._tree_test(g)
+            levels = list(graph._balls(g))
+            last = len(levels) - 1
+            for r in range(1, last + 3):
+                got = failing(levels[min(r - 1, last)], levels[min(r, last)])
+                assert got == [v for v in range(g.n)
+                               if not bfs_is_tree(g, v, r)], (g.edges(), r)
 
     def test_shortest_cycle_in_later_component(self):
         # A path on 0..5, then a 4-cycle on 6..9 beside a 7-cycle.
@@ -302,6 +356,40 @@ class TestStructuralReport:
                 assert len(ours) == len(theirs)
                 for c in ours:
                     assert len(set(c)) == length
+
+    def test_cycles_match_networkx_canonically(self):
+        # Forests, disconnected and non-regular graphs; the densities keep
+        # the cycle counts far below the cap.
+        rng = random.Random(31)
+        for _ in range(80):
+            n = rng.randint(1, 22)
+            density = rng.choice((0.05, 0.1, 0.15, 0.2))
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < density])
+            G = to_nx(g)
+            for length in range(3, 9):
+                ours = [tuple(c) for c in enumerate_cycles(g, length)]
+                assert all(c == canonical_cycle(c) for c in ours)
+                theirs = sorted(canonical_cycle(c) for c in nx.simple_cycles(
+                    G, length_bound=length) if len(c) == length)
+                assert sorted(ours) == theirs, (n, g.edges(), length)
+
+    def test_report_matches_separate_queries(self):
+        rng = random.Random(32)
+        graphs = [build() for build in GRAPHS.values()]
+        for _ in range(40):
+            n = rng.randint(1, 24)
+            density = rng.choice((0.0, 0.05, 0.1))
+            edges = [(v, rng.randrange(v)) for v in range(1, n)]
+            edges += [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < density]
+            graphs.append(Graph(n, edges))
+        for g in graphs:
+            for k in (2, 3, 4):
+                r = structural_report(g, k)
+                cycles = tuple(map(tuple, enumerate_cycles(g, 2 * k)))
+                assert (r.girth, r.diameter, r.two_k_cycles) == (
+                    girth(g), diameter(g), cycles), (g, k)
 
     def test_cycle_cap(self, monkeypatch):
         assert len(enumerate_cycles(complete(6), 3)) == 20
