@@ -37,6 +37,12 @@ def _load_graph(args) -> Graph:
     if args.input and args.family:
         raise PowerPaintError("pass --input or --family, not both")
     if args.input:
+        for flag, value in (("--n", args.n), ("--degree", args.degree),
+                            ("--depth", args.depth),
+                            ("--gen-seed", args.gen_seed)):
+            if value is not None:
+                raise PowerPaintError(f"{flag} applies to --family, "
+                                      "not --input")
         return gen_io.load_graph_file(args.input)
     if args.family:
         return gen_io.named_graph(args.family, n=args.n, degree=args.degree,

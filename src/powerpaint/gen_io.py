@@ -296,14 +296,20 @@ def named_graph(family: str, *, n: Optional[int] = None,
                 degree: Optional[int] = None, depth: Optional[int] = None,
                 seed: Optional[int] = None) -> Graph:
     """The graph of a named family, built from the parameters its builder
-    takes; a parameter the builder gives no default is required."""
+    takes; a parameter the builder gives no default is required, and
+    one it does not take is refused."""
     if family not in _FAMILIES:
         raise PreconditionError(
             f"unknown family {family!r} (known: {FAMILIES})")
     build = _FAMILIES[family]
     given = {"n": n, "degree": degree, "depth": depth, "seed": seed}
+    params = inspect.signature(build).parameters
+    for name, value in given.items():
+        if value is not None and name not in params:
+            raise PreconditionError(
+                f"family {family!r} takes no parameter {name!r}")
     args = {}
-    for name, param in inspect.signature(build).parameters.items():
+    for name, param in params.items():
         if given[name] is not None:
             args[name] = given[name]
         elif param.default is param.empty:

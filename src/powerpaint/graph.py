@@ -149,13 +149,15 @@ def bound_D(k: int, delta: int) -> int:
     """Maximum possible degree of the k-th power of a graph with maximum
     degree ``delta``: delta * sum_{i=1..k} (delta-1)^(i-1).
 
-    Computed exactly with arbitrary-precision integers.
+    Computed exactly with arbitrary-precision integers, by the geometric
+    series' closed form delta * ((delta-1)^k - 1) / (delta - 2): with
+    delta >= 3 the division is exact.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if delta < 3:
         raise PreconditionError(f"maximum degree must be >= 3, got {delta}")
-    return delta * sum((delta - 1) ** (i - 1) for i in range(1, k + 1))
+    return delta * ((delta - 1) ** k - 1) // (delta - 2)
 
 
 def ball(g: Graph, sources: Iterable[int],

@@ -250,6 +250,12 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
     least t colors appear on the last vertex's neighborhood under every
     proper coloring of the prefix.
 
+    Lists and color sets are int masks, color c being bit c. One
+    recursion, ``shared``, walks the proper prefix colorings depth
+    first and narrows ``common``, at first every color in use (at least
+    t), to the colors that each of them puts on the last vertex's
+    neighborhood. It stops once fewer than t remain.
+
     The caps apply to the input graph, which is first peeled with t
     tokens on every vertex: a vertex with fewer than t kept neighbours
     is deleted, repeatedly, since coloring the rest and then such
@@ -270,49 +276,41 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
 
     # Put the highest-degree vertex last: its list choice is the one
     # eliminated analytically, and prefix vertices keep graph edges early.
-    order = sorted((v for v in range(n) if core >> v & 1),
-                   key=lambda v: ((adj[v] & core).bit_count(), v))
-    last = order[-1]
-    prefix = order[:-1]
-    prefix_index = {v: i for i, v in enumerate(prefix)}
-    earlier_nb = [[prefix_index[u] for u in game_graph.adj[v]
-                   if u in prefix_index and prefix_index[u] < i]
-                  for i, v in enumerate(prefix)]
-    last_neighbors = [i for i, v in enumerate(prefix) if adj[last] >> v & 1]
+    *prefix, last = sorted(_bits(core),
+                           key=lambda v: ((adj[v] & core).bit_count(), v))
+    lists = [0] * len(prefix)
+    color = [0] * n  # the color bit of each colored prefix vertex, else 0
 
-    lists: list[tuple[int, ...]] = [()] * len(prefix)
-
-    def last_vertex_blocked(used: int) -> bool:
-        # Intersect colors on last's neighborhood over all proper
-        # prefix colorings, starting from every color in use (at least
-        # t: the first prefix vertex brings t new ones); >= t shared
-        # colors means some list for the last vertex is uncolorable.
-        blocked = set(range(used))
-        coloring = [0] * len(prefix)
-
-        def colorings(i: int) -> bool:
-            if i == len(prefix):
-                blocked.intersection_update(
-                    coloring[j] for j in last_neighbors)
-                return len(blocked) >= t
-            for c in lists[i]:
-                if all(coloring[j] != c for j in earlier_nb[i]):
-                    coloring[i] = c
-                    if not colorings(i + 1):
-                        return False
-            return True
-
-        return colorings(0)
+    def shared(i: int, seen: int, common: int) -> int:
+        """``common`` narrowed by each proper coloring of prefix[i:]
+        that extends the colored prefix[:i], whose colors on the last
+        vertex's neighborhood are ``seen``."""
+        if i == len(prefix):
+            return common & seen
+        v = prefix[i]
+        free = lists[i]
+        for u in game_graph.adj[v]:
+            free &= ~color[u]
+        on_last = adj[last] >> v & 1
+        while free:
+            c = free & -free
+            free ^= c
+            color[v] = c
+            common = shared(i + 1, seen | c if on_last else seen, common)
+            if common.bit_count() < t:
+                break
+        color[v] = 0
+        return common
 
     def assign(i: int, used: int) -> bool:
         """Enumerate canonical lists for prefix vertex i; False once a
         bad assignment is found."""
         if i == len(prefix):
-            return not last_vertex_blocked(used)
+            return shared(0, 0, (1 << used) - 1).bit_count() < t
         for new in range(t + 1):
-            fresh = tuple(range(used, used + new))
+            fresh = (1 << used + new) - (1 << used)
             for old in combinations(range(used), t - new):
-                lists[i] = old + fresh
+                lists[i] = fresh | sum(1 << c for c in old)
                 if not assign(i + 1, used + new):
                     return False
         return True

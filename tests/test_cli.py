@@ -10,7 +10,7 @@ import powerpaint
 from powerpaint import selftest
 from powerpaint.cli import LISTERS, PAINTERS, main
 from powerpaint.game import TokenBudgets, Transcript, validate_transcript
-from powerpaint.gen_io import mcgee, parse_graph6, petersen
+from powerpaint.gen_io import mcgee, parse_graph6, petersen, write_graph6
 from powerpaint.graph import kth_power
 
 
@@ -43,6 +43,25 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--family", "complete")
         assert code == 2
         assert "error" in err
+
+    def test_parameter_the_family_does_not_take_exits_2(self, capsys):
+        code, out, err = run(capsys, "generate", "--family", "petersen",
+                             "--n", "7", "--degree", "9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: family 'petersen' takes no parameter 'n'\n"
+
+    @pytest.mark.parametrize("flag", ["--n", "--degree", "--depth",
+                                      "--gen-seed"])
+    def test_family_parameter_with_input_exits_2(self, tmp_path, capsys,
+                                                 flag):
+        target = tmp_path / "g.g6"
+        target.write_text(write_graph6(petersen()) + "\n")
+        code, out, err = run(capsys, "generate", "--input", str(target),
+                             flag, "5")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} applies to --family, not --input\n"
 
 
 class TestAnalyze:
@@ -209,6 +228,12 @@ class TestVerify:
                            "--budget", "2", "--mode", "choosability")
         assert code == 0
         assert json.loads(out)["choosable"] is True
+
+    def test_choosability_mode_false_verdict(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "complete", "--n",
+                           "4", "--budget", "3", "--mode", "choosability")
+        assert code == 0
+        assert json.loads(out)["choosable"] is False
 
     def test_caps_env_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("POWERPAINT_CAPS", "abc")

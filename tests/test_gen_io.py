@@ -282,9 +282,14 @@ class TestNamedGraphs:
         assert FAMILIES == ("petersen", "heawood", "mcgee", "complete",
                             "cycle", "path", "prism", "random_regular",
                             "regular_tree")
-        required = {"n": 5, "degree": 2, "depth": 2, "seed": 0}
+        params = {"petersen": {}, "heawood": {}, "mcgee": {},
+                  "complete": {"n": 5}, "cycle": {"n": 5}, "path": {"n": 5},
+                  "prism": {"n": 5},
+                  "random_regular": {"n": 5, "degree": 2, "seed": 0},
+                  "regular_tree": {"degree": 2, "depth": 2}}
+        assert tuple(params) == FAMILIES
         for family in FAMILIES:
-            g = named_graph(family, **required)
+            g = named_graph(family, **params[family])
             assert g.n >= 5 and g.connected, family
         assert named_graph("cycle", n=5) == cycle(5)
         assert named_graph("prism") == prism(3)
@@ -303,6 +308,12 @@ class TestNamedGraphs:
         with pytest.raises(PreconditionError, match=(
                 "^family 'regular_tree' requires parameter 'degree'$")):
             named_graph("regular_tree")
+        with pytest.raises(PreconditionError, match=(
+                "^family 'petersen' takes no parameter 'n'$")):
+            named_graph("petersen", n=7, degree=9)
+        with pytest.raises(PreconditionError, match=(
+                "^family 'cycle' takes no parameter 'seed'$")):
+            named_graph("cycle", n=5, seed=1)
 
     def test_lcf_single_shift_is_k33(self):
         # [3]^6 joins each vertex to the three of opposite parity

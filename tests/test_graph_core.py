@@ -102,6 +102,16 @@ class TestBound:
         k, delta = 20, 10
         assert bound_D(k, delta) == delta * (9 ** k - 1) // 8
 
+    def test_matches_the_sum_it_closes(self):
+        for delta in range(3, 11):
+            for k in range(1, 61):
+                assert bound_D(k, delta) == delta * sum(
+                    (delta - 1) ** (i - 1) for i in range(1, k + 1))
+
+    def test_closed_form_at_k_one_million(self):
+        # the sum of a million powers would take minutes
+        assert bound_D(10 ** 6, 3) == 3 * (2 ** 10 ** 6 - 1)
+
 
 class TestGraphInvariants:
     def test_rejects_self_loop(self):

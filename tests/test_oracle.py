@@ -2,11 +2,13 @@ import gc
 import hashlib
 import itertools
 import random
+from itertools import combinations
 
 import pytest
 
 from powerpaint import oracle
-from powerpaint.errors import CapExceededError, PowerPaintError
+from powerpaint.errors import (CapExceededError, PowerPaintError,
+                               PreconditionError)
 from powerpaint.game import TokenBudgets
 from powerpaint.gen_io import complete, cycle, path, petersen, prism
 from powerpaint.graph import Graph, kth_power
@@ -474,3 +476,95 @@ class TestChoosability:
             solve_choosability(cycle(9), 3)  # every vertex would peel
         with pytest.raises(CapExceededError):
             solve_choosability(cycle(4), 5)
+
+
+def _reference_choosability(game_graph: Graph, t: int) -> bool:
+    """A set-based enumeration of canonical list assignments, kept as
+    an independent check of ``solve_choosability``: the same caps, peel
+    and order, with the prefix colourings walked over tuples and sets."""
+    n = game_graph.n
+    if n > 8:
+        raise CapExceededError(f"{n} vertices exceeds choosability cap 8")
+    if t > 4:
+        raise CapExceededError(f"list size {t} exceeds choosability cap 4")
+    if t < 1:
+        raise PreconditionError("list size must be >= 1")
+    adj = game_graph.masks
+    core = _peel(adj, (1 << n) - 1, [t] * n)
+    if core.bit_count() <= 1:
+        return True
+
+    # Put the highest-degree vertex last: its list choice is the one
+    # eliminated analytically, and prefix vertices keep graph edges early.
+    order = sorted((v for v in range(n) if core >> v & 1),
+                   key=lambda v: ((adj[v] & core).bit_count(), v))
+    last = order[-1]
+    prefix = order[:-1]
+    prefix_index = {v: i for i, v in enumerate(prefix)}
+    earlier_nb = [[prefix_index[u] for u in game_graph.adj[v]
+                   if u in prefix_index and prefix_index[u] < i]
+                  for i, v in enumerate(prefix)]
+    last_neighbors = [i for i, v in enumerate(prefix) if adj[last] >> v & 1]
+
+    lists: list[tuple[int, ...]] = [()] * len(prefix)
+
+    def last_vertex_blocked(used: int) -> bool:
+        # Intersect colors on last's neighborhood over all proper
+        # prefix colorings, starting from every color in use (at least
+        # t: the first prefix vertex brings t new ones); >= t shared
+        # colors means some list for the last vertex is uncolorable.
+        blocked = set(range(used))
+        coloring = [0] * len(prefix)
+
+        def colorings(i: int) -> bool:
+            if i == len(prefix):
+                blocked.intersection_update(
+                    coloring[j] for j in last_neighbors)
+                return len(blocked) >= t
+            for c in lists[i]:
+                if all(coloring[j] != c for j in earlier_nb[i]):
+                    coloring[i] = c
+                    if not colorings(i + 1):
+                        return False
+            return True
+
+        return colorings(0)
+
+    def assign(i: int, used: int) -> bool:
+        """Enumerate canonical lists for prefix vertex i; False once a
+        bad assignment is found."""
+        if i == len(prefix):
+            return not last_vertex_blocked(used)
+        for new in range(t + 1):
+            fresh = tuple(range(used, used + new))
+            for old in combinations(range(used), t - new):
+                lists[i] = old + fresh
+                if not assign(i + 1, used + new):
+                    return False
+        return True
+
+    return assign(0, 0)
+
+
+def _cored_graphs(seed, count):
+    """Seeded random (graph, t) pairs whose t-peeled core keeps at least
+    two vertices: t = 2 on up to 7 vertices, t = 3 on up to 5."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        t = rng.choice((2, 2, 3))
+        n = rng.randint(t + 1, 7 if t == 2 else 5)
+        p = rng.choice((0.3, 0.45, 0.6, 0.8))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        if _peel(g.masks, (1 << n) - 1, [t] * n).bit_count() >= 2:
+            out.append((g, t))
+    return out
+
+
+def test_choosability_matches_the_set_based_reference():
+    cases = _cored_graphs(19, 240)
+    verdicts = [_reference_choosability(g, t) for g, t in cases]
+    assert min(verdicts.count(True), verdicts.count(False)) >= 10
+    for (g, t), verdict in zip(cases, verdicts):
+        assert solve_choosability(g, t) == verdict, (g.edges(), t)
