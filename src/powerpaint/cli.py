@@ -93,10 +93,17 @@ def cmd_play(args) -> int:
         raise PowerPaintError(f"--games must be at least 1, got {args.games}")
     g = _load_graph(args)
     k = args.k
-    game_graph = kth_power(g, k)
     budget = args.budget
     if budget is None:
         budget = bound_D(k, g.max_degree) - 1
+    try:
+        str(budget)  # the summary and the transcripts write it as JSON
+    except ValueError:
+        raise PowerPaintError(
+            f"the budget at --k {k} has more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for "
+            "integer string conversion (PYTHONINTMAXSTRDIGITS)") from None
+    game_graph = kth_power(g, k)
     budgets = TokenBudgets.uniform(g.n, budget)
     painter, route = PAINTERS[args.painter](g, k)
     wins = {"painter": 0, "lister": 0}

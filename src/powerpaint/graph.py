@@ -518,9 +518,8 @@ def find_special_frame(g: Graph, k: int,
 
     Scans (x1,y1) pairs in lexicographic order, then neighbor pairs
     (x2,y2) in id order, accepting the first pair at mutual distance
-    >= k+1. v sits at distance exactly 2 from x1 on the path; w is v's
-    path neighbor toward y1 unless that vertex is y2. ``label``
-    is the case label of (g, k) when the caller already has it.
+    >= k+1; ``_build_frame`` places v and w on a shortest x1-y1 path.
+    ``label`` is the case label of (g, k) when the caller already has it.
     """
     if k < 3:
         raise PreconditionError(f"k must be >= 3, got {k}")
@@ -537,40 +536,29 @@ def find_special_frame(g: Graph, k: int,
             for x2 in g.adj[x1]:
                 for y2 in g.adj[y1]:
                     if y2 not in near[x2]:
-                        return _build_frame(g, k, x1, x2, y1, y2)
+                        return _build_frame(g, x1, x2, y1, y2)
     raise NoFrameError(
         "no (x1,x2,y1,y2) frame found in a MainCase graph; "
         "this contradicts the case analysis and indicates a bug")
 
 
-def _build_frame(g: Graph, k: int, x1: int, x2: int, y1: int,
-                 y2: int) -> SpecialFrame:
+def _build_frame(g: Graph, x1: int, x2: int, y1: int, y2: int) -> SpecialFrame:
+    """The frame on a pair the search accepted at d(x1, y1) = k + 1; each
+    invariant holds by construction. y1 is on the radius-(k+1) sphere of
+    x1, x2 and y2 come from the adjacency rows of x1 and y1, and y2 is
+    outside B(x2, k) by the search's test. path[i] is at distance i from
+    x1 and k + 1 - i from y1 (len(path) = k + 2), so v = path[2] is within
+    k of all four: at 2 from x1, <= 3 from x2, k - 1 from y1 and <= k from
+    y2. w = path[3] (at 3 from x1, k - 2 from y1) is never x2; it is y2
+    only if k = 3, and then w = path[1] (at 1 and k) is not x2, or y2
+    would be at 2 from x2. So x1, x2, v, y1, y2 (at 0, 1, 2, k + 1, >= k
+    from x1) and w are six distinct vertices, and ``distance_order`` puts
+    every other one of the connected g between them: the order is a
+    permutation.
+    """
     path = _lex_least_shortest_path(g, x1, y1)
     v = path[2]
-    after, before = path[3], path[1]
-    # path[i] is at distance i from x1, so after (3) is never x2 (1) and
-    # before (1) is never y2 (>= k). after is y2 only when k = 3, and then
-    # before is not x2: y2 would lie at distance 2 from x2, inside the
-    # radius-k ball the frame search excludes.
-    w = after if after != y2 else before
+    w = path[3] if path[3] != y2 else path[1]
     order = distance_order(g, (v, w), head=(x1, x2, y1, y2), tail=(w, v))
-    frame = SpecialFrame(x1=x1, x2=x2, y1=y1, y2=y2, path=tuple(path),
-                         v=v, w=w, order=order)
-    _check_frame(g, k, frame)
-    return frame
-
-
-def _check_frame(g: Graph, k: int, f: SpecialFrame):
-    near_v, near_w = ball(g, [f.v], k), ball(g, [f.w], k)
-    ok = (
-        ball(g, [f.x1], k + 1).get(f.y1) == k + 1
-        and g.has_edge(f.x1, f.x2) and g.has_edge(f.y1, f.y2)
-        and f.y2 not in ball(g, [f.x2], k)
-        and f.w not in (f.x2, f.y2)
-        and all(z in near_v for z in f.frame_vertices())
-        and f.x1 in near_w and f.y1 in near_w
-        and len(f.path) == k + 2
-        and sorted(f.order) == list(range(g.n))
-    )
-    if not ok:
-        raise NoFrameError(f"constructed frame violates its invariants: {f}")
+    return SpecialFrame(x1=x1, x2=x2, y1=y1, y2=y2, path=tuple(path),
+                        v=v, w=w, order=order)

@@ -16,6 +16,8 @@ PAINTER = "painter"
 LISTER = "lister"
 
 DEFAULT_VERTEX_CAP = 12
+CHOOSABILITY_VERTEX_CAP = 8
+CHOOSABILITY_LIST_CAP = 4
 
 
 def _clique_painter_wins(tokens: tuple[int, ...]) -> bool:
@@ -263,10 +265,12 @@ def solve_choosability(game_graph: Graph, t: int) -> bool:
     enumeration runs on the core.
     """
     n = game_graph.n
-    if n > 8:
-        raise CapExceededError(f"{n} vertices exceeds choosability cap 8")
-    if t > 4:
-        raise CapExceededError(f"list size {t} exceeds choosability cap 4")
+    if n > CHOOSABILITY_VERTEX_CAP:
+        raise CapExceededError(f"{n} vertices exceeds choosability cap "
+                               f"{CHOOSABILITY_VERTEX_CAP}")
+    if t > CHOOSABILITY_LIST_CAP:
+        raise CapExceededError(f"list size {t} exceeds choosability cap "
+                               f"{CHOOSABILITY_LIST_CAP}")
     if t < 1:
         raise PreconditionError("list size must be >= 1")
     adj = game_graph.masks

@@ -92,7 +92,7 @@ class CliquePainter:
         return {pick}
 
 
-class TheoremPainter:
+class TheoremPainter(GreedyScanPainter):
     """The main-case strategy. Plays on the k-th power of a regular
     graph with girth >= 2k and disjoint 2k-cycles, hence diameter >= k+1
     (see ``classify``), with uniform budgets M-1, M the degree bound.
@@ -113,9 +113,9 @@ class TheoremPainter:
       and w not revealed), last M - 1: rules (i), (ii)/(iii), (iv);
     - row 2: (x2, y2), steer v not revealed, last M - 4: (v)-(vii).
 
-    That is the seven rules exactly: a pair is never adjacent in G^k (x1,
-    y1 at distance k + 1, y2 outside x2's radius-k ball; ``_check_frame``
-    checks both), so coloring both is legal, otherwise at most one is
+    That is the seven rules exactly: a pair is never adjacent in G^k (the
+    frame search draws y1 at distance k + 1 from x1 and y2 outside x2's
+    radius-k ball), so coloring both is legal, otherwise at most one is
     free and (ii) then (iii) is one disjunction; row 1 sees no colors.
     The counters stay in 0 <= NO_v, NO_w <= 2, the range the steer's
     ``no_v == 0`` reads: a round that colors h >= 1 of x1, y1 adds
@@ -135,7 +135,7 @@ class TheoremPainter:
     def __init__(self, g: Graph, k: int, label: Optional[CaseLabel] = None):
         self.frame = find_special_frame(g, k, label=label)
         self.M = bound_D(k, g.max_degree)
-        self.rank = _rank(self.frame.order)
+        super().__init__(self.frame.order)
         self.reset()
 
     def reset(self):
@@ -186,16 +186,15 @@ def dispatch_painter(g: Graph, k: int):
     else a distance order that ends at the fallback case's witness.
     """
     label = classify(g, k)
-    if label.kind == CaseLabel.MAIN_CASE:
-        painter = TheoremPainter(g, k, label=label)
-        return painter, label, painter.frame.order
     if label.kind == CaseLabel.NON_REGULAR:
         targets = tail = (label.low_degree_vertex,)
     elif label.kind == CaseLabel.SHORT_CYCLE:
         targets = tail = _late_pair(label.short_cycle, min(label.short_cycle))
-    else:  # IntersectingTwoKCycles: v in both cycles, w last but one
+    elif label.kind == CaseLabel.INTERSECTING:  # v in both, w last but one
         c1, c2 = label.intersecting_cycles
         v, w = _late_pair(c1, min(set(c1) & set(c2)))
         targets, tail = (v, w), (w, v)
-    order = distance_order(g, targets, tail=tail)
-    return GreedyScanPainter(order), label, order
+    painter = (TheoremPainter(g, k, label=label)
+               if label.kind == CaseLabel.MAIN_CASE
+               else GreedyScanPainter(distance_order(g, targets, tail=tail)))
+    return painter, label, painter.order

@@ -167,6 +167,22 @@ class TestPlay:
         assert err == ("error: the special frame requires MainCase, "
                        "got ShortCycle\n")
 
+    def test_budget_too_long_to_write_exits_2(self):
+        # D(15000, 3) - 1 has 4516 digits: json.dumps of the summary would
+        # raise after the game, a traceback with the lister-won exit code.
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300",
+                   PYTHONPATH=str(Path(powerpaint.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerpaint.cli", "play", "--family",
+             "petersen", "--k", "15000", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: the budget at --k 15000 has more than 4300 digits, "
+            "Python's limit for integer string conversion "
+            "(PYTHONINTMAXSTRDIGITS)\n")
+        assert "Traceback" not in proc.stderr
+
     def test_loss_exits_1(self, capsys):
         # starved budget forces losses on the greedy painter
         code, out, _ = run(capsys, "play", "--family", "petersen", "--k", "3",

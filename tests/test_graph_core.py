@@ -469,24 +469,36 @@ class TestClassify:
             classify(cycle(6), 3)
 
 
+# The (graph, k) rows of tests/data/golden_analysis.json labelled MainCase.
+MAIN_CASES = [("mcgee", 3), ("tutte_coxeter", 3)] + [
+    (name, k) for name in ("foster", "foster_lift2", "foster_lift3",
+                           "foster_lift5") for k in (3, 4)]
+
+
 class TestSpecialFrame:
-    def test_mcgee_frame_invariants(self):
-        g = mcgee()
-        k = 3
+    @pytest.mark.parametrize("name,k", MAIN_CASES,
+                             ids=[f"{n}_k{k}" for n, k in MAIN_CASES])
+    def test_frame_invariants(self, name, k):
+        # Everything the frame search guarantees by construction (see
+        # find_special_frame), recomputed from BFS distances in g.
+        g = GRAPHS[name]()
         f = find_special_frame(g, k)
-        d = g.distances()
-        assert d(f.x1, f.y1) == k + 1
+        d = {z: ball(g, [z]) for z in (f.x1, f.x2, f.y1, f.y2, f.v, f.w)}
+        assert d[f.x1][f.y1] == k + 1
         assert g.has_edge(f.x1, f.x2) and g.has_edge(f.y1, f.y2)
-        assert d(f.x2, f.y2) >= k + 1
+        assert d[f.x2][f.y2] >= k + 1
         assert len(f.path) == k + 2
         assert f.path[0] == f.x1 and f.path[-1] == f.y1
         for a, b in zip(f.path, f.path[1:]):
             assert g.has_edge(a, b)
-        assert f.v in f.path
-        assert d(f.v, f.x1) >= 2 and d(f.v, f.y1) >= 2
+        assert f.v == f.path[2] and f.w in (f.path[1], f.path[3])
+        assert d[f.v][f.x1] >= 2 and d[f.v][f.y1] >= 2
         assert f.w not in (f.x2, f.y2)
-        assert all(d(f.v, z) <= k for z in (f.x1, f.x2, f.y1, f.y2))
-        assert d(f.w, f.x1) <= k and d(f.w, f.y1) <= k
+        assert all(d[f.v][z] <= k for z in f.frame_vertices())
+        assert d[f.w][f.x1] <= k and d[f.w][f.y1] <= k
+        assert sorted(f.order) == list(range(g.n))
+        assert f.order[:4] == f.frame_vertices()
+        assert f.order[-2:] == (f.w, f.v)
 
     def test_order_shape(self):
         g = mcgee()

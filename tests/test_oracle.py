@@ -470,11 +470,13 @@ class TestChoosability:
         assert solve_choosability(Graph(n + 1, edges + [(0, n)]), t) == verdict
 
     def test_caps(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match="^9 vertices exceeds choosability cap 8$"):
             solve_choosability(cycle(9), 2)
         with pytest.raises(CapExceededError):
             solve_choosability(cycle(9), 3)  # every vertex would peel
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match="^list size 5 exceeds choosability cap 4$"):
             solve_choosability(cycle(4), 5)
 
 

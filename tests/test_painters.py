@@ -35,6 +35,7 @@ from powerpaint.selftest import (ScriptLister, late_vertex_attacks,
                                  outside_frame)
 from test_golden_analysis import (FOSTER_LCF, GRAPHS, KS, TUTTE_COXETER_LCF,
                                   foster_lift)
+from test_graph_core import bfs_is_tree
 from test_oracle import _raw_minimax
 
 
@@ -481,34 +482,67 @@ class TestDispatch:
                 CaseLabel.INTERSECTING, CaseLabel.MAIN_CASE} == kinds
 
     def test_no_cycle_enumeration_above_girth(self, monkeypatch):
-        # A Foster lift has girth >= 10 > 2k: it has no 2k-cycle to list.
-        calls = []
-        real = graph.enumerate_cycles
+        # A Foster lift has girth >= 10 > 2k: no vertex fails the tree
+        # count at radius k, so no root reaches the cycle search.
+        roots = []
+        real = graph._cycles
 
-        def counting(g, length):
-            calls.append(length)
-            return real(g, length)
+        def counting(g, length, starts):
+            starts = list(starts)
+            roots.extend(starts)
+            return real(g, length, starts)
 
-        monkeypatch.setattr(graph, "enumerate_cycles", counting)
+        monkeypatch.setattr(graph, "_cycles", counting)
         g = foster_lift(5, 5)
         report = graph.structural_report(g, 3)
         assert report.two_k_cycles == () and report.girth >= 10
         assert graph.classify(g, 3).kind == CaseLabel.MAIN_CASE
         dispatch_painter(g, 3)
-        assert calls == []
+        assert roots == []
+
+    @pytest.mark.parametrize("name", ["rr3_60", "rr3_200", "rr4_200"])
+    def test_cycle_search_starts_at_failing_roots(self, name, monkeypatch):
+        # classify lists a short cycle only from the vertices whose BFS to
+        # the cycle's half length is not a tree; on these graphs that is
+        # a few of them, not every vertex.
+        calls = []
+        real = graph._cycles
+
+        def counting(g, length, starts):
+            starts = list(starts)
+            calls.append((length, starts))
+            return real(g, length, starts)
+
+        monkeypatch.setattr(graph, "_cycles", counting)
+        g = GRAPHS[name]()
+        assert graph.classify(g, 3).kind == CaseLabel.SHORT_CYCLE
+        (length, starts), = calls
+        assert 0 < len(starts) < g.n // 4
+        assert not any(bfs_is_tree(g, s, (length + 1) // 2) for s in starts)
 
     @pytest.mark.parametrize("builder,k", [
         (mcgee, 3), (lambda: foster_lift(5, 5), 3),
         (lambda: foster_lift(5, 5), 4)], ids=["mcgee3", "lift5_3", "lift5_4"])
     def test_classify_never_computes_diameter(self, builder, k, monkeypatch):
         # classify has no diameter step: a graph that reaches MainCase
-        # has diameter above k (see its docstring), so none is computed.
-        calls = []
-        real = graph.diameter
-        monkeypatch.setattr(graph, "diameter",
-                            lambda g: calls.append(g) or real(g))
-        assert graph.classify(builder(), k).kind == CaseLabel.MAIN_CASE
-        assert calls == []
+        # has diameter above k (see its docstring), so its ball sweep
+        # stops at the girth's radius r and draws the levels 0..r only.
+        # (A full sweep draws diameter + 1 levels: 13 on the lift, 5 on
+        # McGee, whose girth's radius is its diameter.)
+        g = builder()
+        r = (graph.girth(g) + 1) // 2
+        drawn = 0
+        real = graph._balls
+
+        def counting(h):
+            nonlocal drawn
+            for level in real(h):
+                drawn += 1
+                yield level
+
+        monkeypatch.setattr(graph, "_balls", counting)
+        assert graph.classify(g, k).kind == CaseLabel.MAIN_CASE
+        assert drawn <= r + 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(PreconditionError):
