@@ -9,6 +9,7 @@ names the vertex in its transcript) or a ``selftest`` check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -107,18 +108,17 @@ def cmd_play(args) -> int:
     budgets = TokenBudgets.uniform(g.n, budget)
     painter, route = PAINTERS[args.painter](g, k)
     wins = {"painter": 0, "lister": 0}
-    transcripts = []
-    for i in range(args.games):
-        game_seed = args.seed + i  # documented derivation: base seed + index
-        lister = LISTERS[args.lister](game_seed)
-        t = play_game(game_graph, budgets, lister, painter,
-                      seed=game_seed, k=k)
-        wins[t.winner] += 1
-        if args.transcript:
-            transcripts.append(t.to_json())
-    if args.transcript:
-        with open(args.transcript, "w") as fh:
-            fh.write("\n".join(transcripts) + "\n")
+    # opened before the first game, so a bad path costs no games
+    with (open(args.transcript, "w") if args.transcript
+          else contextlib.nullcontext()) as fh:
+        for i in range(args.games):
+            game_seed = args.seed + i  # documented: base seed + index
+            lister = LISTERS[args.lister](game_seed)
+            t = play_game(game_graph, budgets, lister, painter,
+                          seed=game_seed, k=k)
+            wins[t.winner] += 1
+            if fh is not None:
+                fh.write(t.to_json() + "\n")
     print(json.dumps({
         "games": args.games, "budget": budget, "route": route,
         "painter": args.painter, "lister": args.lister,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import IllegalListerMove, IllegalPainterMove, PowerPaintError
 from .graph import Graph
@@ -47,24 +46,37 @@ class GameState:
         self.round = 0  # 1-based once play starts
 
 
-@dataclass
-class Round:
+class Round(NamedTuple):
+    # ``index`` shadows ``tuple.index``, which nothing here calls.
     index: int
     revealed: tuple[int, ...]
     colored: tuple[int, ...]
 
 
-@dataclass
 class Transcript:
-    n: int
-    budgets: TokenBudgets
-    painter_name: str
-    lister_name: str
-    seed: Optional[int]
-    rounds: list[Round] = field(default_factory=list)
-    winner: str = ""                      # "painter" | "lister"
-    loser_vertex: Optional[int] = None
-    k: Optional[int] = None
+    """One game's record. Mutable: the referee appends rounds and sets
+    the winner as play goes on."""
+
+    def __init__(self, n: int, budgets: TokenBudgets, painter_name: str,
+                 lister_name: str, seed: Optional[int],
+                 rounds: Optional[list[Round]] = None,
+                 winner: str = "",  # "painter" | "lister"
+                 loser_vertex: Optional[int] = None,
+                 k: Optional[int] = None):
+        self.n = n
+        self.budgets = budgets
+        self.painter_name = painter_name
+        self.lister_name = lister_name
+        self.seed = seed
+        self.rounds = [] if rounds is None else rounds
+        self.winner = winner
+        self.loser_vertex = loser_vertex
+        self.k = k
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> str:
         obj = {
@@ -91,18 +103,19 @@ class Transcript:
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
         """Parse one line of ``to_json``. Invalid JSON, a missing key, a
-        wrong container type, a non-integer count or id or a bad budget
-        raises PowerPaintError."""
+        wrong container type, a non-integer count, id, k or seed, a
+        non-string name or winner or a bad budget raises PowerPaintError."""
         try:
             obj = json.loads(text)
             h = obj["header"]
+            seed, k = h.get("seed"), h.get("k")
             t = cls(
                 n=_int(h["n"], "n"),
                 budgets=TokenBudgets(h["budget"]),
-                painter_name=h["painter"],
-                lister_name=h["lister"],
-                seed=h.get("seed"),
-                k=h.get("k"),
+                painter_name=_str(h["painter"], "painter"),
+                lister_name=_str(h["lister"], "lister"),
+                seed=None if seed is None else _int(seed, "seed"),
+                k=None if k is None else _int(k, "k"),
             )
             t.rounds = [
                 Round(index=_int(r["round"], "round"),
@@ -110,7 +123,7 @@ class Transcript:
                       colored=tuple(_int(v, "vertex") for v in r["colored"]))
                 for r in obj["rounds"]
             ]
-            t.winner = obj["winner"]
+            t.winner = _str(obj["winner"], "winner")
             loser = obj.get("loser_vertex")
         except KeyError as exc:
             raise PowerPaintError(f"transcript has no {exc} field") from exc
@@ -126,6 +139,13 @@ def _int(x, what: str) -> int:
     replay's checks and fail later, or never."""
     if type(x) is not int:
         raise PowerPaintError(f"transcript {what} {x!r} is not an integer")
+    return x
+
+
+def _str(x, what: str) -> str:
+    """A player's name or the winner read from a transcript."""
+    if type(x) is not str:
+        raise PowerPaintError(f"transcript {what} {x!r} is not a string")
     return x
 
 

@@ -15,9 +15,7 @@ on every platform, so seeded corpora are reproducible byte-for-byte.
 from __future__ import annotations
 
 import binascii
-import inspect
 import random
-import re
 from typing import Optional
 
 from .errors import GiveUpError, ParseError, PreconditionError
@@ -28,8 +26,9 @@ from .graph import Graph
 
 _G6_MAX_LONG = 258047
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
-_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_G6_CHARS = bytes(range(63, 127))
+_TO_G6 = bytes.maketrans(_B64, _G6_CHARS)
+_FROM_G6 = bytes.maketrans(_G6_CHARS, _B64)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -40,9 +39,8 @@ def parse_graph6(text: str) -> Graph:
     if not line:
         raise ParseError("empty graph6 line", offset=0)
     data = line.encode()
-    bad = re.search(rb"[^?-~]", data)  # outside 63..126
-    if bad:
-        i = bad.start()
+    if data.translate(None, _G6_CHARS):  # some byte outside 63..126
+        i = next(i for i, c in enumerate(data) if not 63 <= c <= 126)
         raise ParseError(f"character {data[i:i+1]!r} outside 63..126",
                          offset=i)
     pos = 0
@@ -303,16 +301,19 @@ def named_graph(family: str, *, n: Optional[int] = None,
             f"unknown family {family!r} (known: {FAMILIES})")
     build = _FAMILIES[family]
     given = {"n": n, "degree": degree, "depth": depth, "seed": seed}
-    params = inspect.signature(build).parameters
+    code = build.__code__
+    params = code.co_varnames[:code.co_argcount]
     for name, value in given.items():
         if value is not None and name not in params:
             raise PreconditionError(
                 f"family {family!r} takes no parameter {name!r}")
+    # the last len(__defaults__) parameters have defaults
+    required = params[:len(params) - len(build.__defaults__ or ())]
     args = {}
-    for name, param in params.items():
+    for name in params:
         if given[name] is not None:
             args[name] = given[name]
-        elif param.default is param.empty:
+        elif name in required:
             raise PreconditionError(
                 f"family {family!r} requires parameter {name!r}")
     return build(**args)

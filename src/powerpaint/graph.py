@@ -13,9 +13,8 @@ read one sweep that grows every vertex's ball at once, as bitsets, and
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import asdict, dataclass
 from itertools import count, islice
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     CapExceededError,
@@ -356,8 +355,7 @@ def enumerate_cycles(g: Graph, length: int) -> list[list[int]]:
     return list(_cycles(g, length, roots))
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     n: int
     max_degree: int
     is_regular: bool
@@ -367,7 +365,7 @@ class StructuralReport:
     two_k_cycles_disjoint: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def structural_report(g: Graph, k: int) -> StructuralReport:
@@ -392,8 +390,7 @@ def structural_report(g: Graph, k: int) -> StructuralReport:
     )
 
 
-@dataclass(frozen=True)
-class CaseLabel:
+class CaseLabel(NamedTuple):
     """Outcome of the case analysis routing a graph to a strategy.
 
     ``kind`` is one of NonRegular, ShortCycle, IntersectingTwoKCycles,
@@ -481,8 +478,7 @@ def _intersecting_pair(cycles):
     return None
 
 
-@dataclass(frozen=True)
-class SpecialFrame:
+class SpecialFrame(NamedTuple):
     """The distinguished vertices and vertex order driving the main
     painter: x1,y1 at distance k+1 with neighbors x2,y2 also far apart,
     a connecting path P, the late vertices v,w on P, and the global

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import powerpaint
-from powerpaint import selftest
+from powerpaint import cli, selftest
 from powerpaint.cli import LISTERS, PAINTERS, main
-from powerpaint.game import TokenBudgets, Transcript, validate_transcript
+from powerpaint.game import (TokenBudgets, Transcript, play_game,
+                             validate_transcript)
 from powerpaint.gen_io import mcgee, parse_graph6, petersen, write_graph6
 from powerpaint.graph import kth_power
 
@@ -132,6 +133,23 @@ class TestPlay:
         for line in lines:
             t = Transcript.from_json(line)
             assert validate_transcript(game_graph, budgets, t) is None
+
+    def test_unwritable_transcript_exits_2_before_any_game(
+            self, tmp_path, capsys, monkeypatch):
+        played = []
+
+        def counting_play_game(*args, **kwargs):
+            played.append(kwargs["seed"])
+            return play_game(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "play_game", counting_play_game)
+        path = tmp_path / "no_such_dir" / "t.jsonl"
+        code, out, err = run(capsys, "play", "--family", "mcgee", "--k", "3",
+                             "--seed", "1", "--games", "50",
+                             "--transcript", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert played == []
 
     def test_reproducible_output(self, capsys):
         args = ("play", "--family", "heawood", "--k", "3", "--seed", "11",

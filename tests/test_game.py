@@ -178,10 +178,17 @@ class TestTranscript:
         g, budgets, t = self.run_one()
         t2 = Transcript.from_json(t.to_json())
         assert validate_transcript(g, budgets, t2) is None
-        assert t2.winner == t.winner
+        assert t2 == t
         obj = json.loads(t.to_json())
         assert set(obj["header"]) == {"n", "k", "budget", "painter",
                                       "lister", "seed"}
+
+    def test_equality_reads_every_field(self):
+        _, _, t = self.run_one()
+        for name in vars(t):
+            other = Transcript.from_json(t.to_json())
+            setattr(other, name, "changed")
+            assert other != t, name
 
     def test_colored_not_revealed_violation(self):
         g, budgets, t = self.run_one()
@@ -257,18 +264,52 @@ NON_INT_FIELDS = [
 ]
 
 
+def k2_lister_win(seed=None):
+    """A legal transcript as a dict: K2, one token each, the lister
+    wins at vertex 1."""
+    return {"header": {"n": 2, "k": 1, "budget": [1, 1], "painter": "x",
+                       "lister": "y", "seed": seed},
+            "rounds": [{"round": 1, "revealed": [0, 1], "colored": [0]}],
+            "winner": "lister", "loser_vertex": 1}
+
+
 @pytest.mark.parametrize("case,key,value", NON_INT_FIELDS,
                          ids=[c[0] for c in NON_INT_FIELDS])
 def test_from_json_rejects_non_integer_ids(case, key, value):
-    obj = {"header": {"n": 2, "k": 1, "budget": [1, 1], "painter": "x",
-                      "lister": "y", "seed": None},
-           "rounds": [{"round": 1, "revealed": [0, 1], "colored": [0]}],
-           "winner": "lister", "loser_vertex": 1}
+    obj = k2_lister_win()
     legal = Transcript.from_json(json.dumps(obj))
     assert validate_transcript(complete(2), TokenBudgets.uniform(2, 1),
                                legal) is None
     (obj if key == "loser_vertex" else obj["rounds"][0])[key] = value
     with pytest.raises(PowerPaintError, match="is not an integer"):
+        Transcript.from_json(json.dumps(obj))
+
+
+# Header and result fields of the wrong JSON type: (case, key, value,
+# message part), set in the legal transcript above; a null k or seed
+# is legal.
+BAD_HEADER_FIELDS = [
+    ("string k", "k", "three", "transcript k 'three' is not an integer"),
+    ("float k", "k", 3.0, "transcript k 3.0 is not an integer"),
+    ("list seed", "seed", [1], r"transcript seed \[1\] is not an integer"),
+    ("int painter", "painter", 5, "transcript painter 5 is not a string"),
+    ("null lister", "lister", None,
+     "transcript lister None is not a string"),
+    ("bool winner", "winner", True, "transcript winner True is not a string"),
+]
+
+
+@pytest.mark.parametrize("case,key,value,expected", BAD_HEADER_FIELDS,
+                         ids=[c[0] for c in BAD_HEADER_FIELDS])
+def test_from_json_rejects_bad_header_fields(case, key, value, expected):
+    obj = k2_lister_win(seed=7)
+    legal = Transcript.from_json(json.dumps(obj))
+    assert (legal.k, legal.seed) == (1, 7)
+    obj["header"]["k"] = obj["header"]["seed"] = None
+    nulls = Transcript.from_json(json.dumps(obj))
+    assert (nulls.k, nulls.seed) == (None, None)
+    (obj if key == "winner" else obj["header"])[key] = value
+    with pytest.raises(PowerPaintError, match=expected):
         Transcript.from_json(json.dumps(obj))
 
 
