@@ -53,13 +53,18 @@ def _peel(adj: tuple[int, ...], alive: int, tokens,
     return alive
 
 
-def _bits(mask: int) -> list[int]:
+_BITS_BOUND = 1 << DEFAULT_VERTEX_CAP  # fixed at import: at most 4096 keys
+_BITS: dict[int, tuple[int, ...]] = {}  # masks below the bound, from first use
+
+
+def _bits(mask: int) -> tuple[int, ...]:
     """The vertices of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    try:
+        return _BITS[mask]
+    except KeyError:
+        out = tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    if mask < _BITS_BOUND:
+        _BITS[mask] = out
     return out
 
 
@@ -89,7 +94,11 @@ class PaintabilitySolver:
     tokens on v by v's alive degree, so only the vertex cap is needed.
     A reply is applied to a peeled state and tokens only fall, so only
     the neighbours of the colored vertices can newly peel: the
-    successor's peel starts from them alone.
+    successor's peel starts from them alone. All replies to a reveal
+    share one token vector with every revealed vertex drained: colored
+    vertices leave the alive set, and the peel, the memo key and the
+    forced set read only alive vertices' tokens. The replies are walked
+    include-first: greedily, stacking only the skip of each vertex colored.
 
     The lister only ever reveals a set S in which every vertex has a
     neighbour inside S. Say v has none. Every maximal reply to S is
@@ -105,6 +114,7 @@ class PaintabilitySolver:
     """
 
     def __init__(self, game_graph: Graph, budgets: TokenBudgets):
+        budgets = TokenBudgets(budgets)
         if len(budgets) != game_graph.n:
             raise PowerPaintError("budget length does not match vertex count")
         if game_graph.n > DEFAULT_VERTEX_CAP:
@@ -127,6 +137,11 @@ class PaintabilitySolver:
         alive = 0
         tokens = [0] * self.n
         for v, left in tokens_by_vertex.items():
+            if type(v) is not int or not 0 <= v < self.n:
+                raise PreconditionError(
+                    f"vertex {v!r} is not in 0..{self.n - 1}")
+            if type(left) is not int or left < 1:
+                raise PreconditionError(f"vertex {v} has {left!r} tokens")
             alive |= 1 << v
             tokens[v] = left
         if self._painter_wins(alive, tuple(tokens)):
@@ -176,15 +191,16 @@ class PaintabilitySolver:
         """True if some maximal independent subset of the reveal that
         colors every one-token vertex leads the painter to a winning
         successor. ``alive`` must be peeled under ``tokens``."""
-        vs = _bits(reveal)
-        forced = sum(1 << v for v in vs if tokens[v] == 1)
+        drained = list(tokens)
+        forced = 0
+        for v in _bits(reveal):
+            if drained[v] == 1:
+                forced |= 1 << v
+            drained[v] -= 1
+        drained = tuple(drained)
         for colored, touched in self._replies(reveal, forced):
-            new_tokens = list(tokens)
-            for v in vs:
-                if not colored >> v & 1:
-                    new_tokens[v] -= 1
             rest = alive & ~colored
-            if self._painter_wins(rest, tuple(new_tokens), touched & rest):
+            if self._painter_wins(rest, drained, touched & rest):
                 return True
         return False
 
@@ -205,14 +221,14 @@ class PaintabilitySolver:
         stack = [(0, forced, touched)]
         while stack:
             i, colored, touched = stack.pop()
-            if i == len(vs):
-                if not free & ~(colored | touched):
-                    yield colored, touched
-                continue
-            v = vs[i]
-            stack.append((i + 1, colored, touched))
-            if not touched >> v & 1:
-                stack.append((i + 1, colored | 1 << v, touched | adj[v]))
+            for j in range(i, len(vs)):
+                v = vs[j]
+                if not touched >> v & 1:
+                    stack.append((j + 1, colored, touched))
+                    colored |= 1 << v
+                    touched |= adj[v]
+            if not free & ~(colored | touched):
+                yield colored, touched
 
 
 def solve_paintability(game_graph: Graph, budgets: TokenBudgets) -> str:

@@ -109,27 +109,51 @@ class TestPaintability:
             frozenset([0, 2, 4])}
 
     def test_forced_replies_on_random_reveals(self):
+        # on random graphs, every reveal and every forced subset of it:
         # the maximal independent subsets of the reveal that contain the
-        # forced set, in the order of an include-first walk along the
-        # vertices, which is the order the search tries them in
+        # forced set (none if it is not independent), each with the union
+        # of its vertices' neighbourhoods, in the order of an
+        # include-first walk along the vertices, which is the order the
+        # search tries them in
         rng = random.Random(13)
-        for i in range(200):
-            n = rng.randint(1, 9)
+        for i in range(27):
+            n = 1 + i % 9
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < (0.2, 0.4, 0.6)[i % 3]])
-            reveal = rng.randrange(1, 1 << n)
-            forced = rng.randrange(1 << n) & reveal
-            vs = [v for v in range(n) if reveal >> v & 1]
-            independent = [m for m in range(1 << n) if not m & ~reveal
-                           and not m & _union(g, m)]
-            expected = sorted(
-                (m for m in independent if m & forced == forced
-                 and not any(m | 1 << v in independent for v in vs
-                             if not m >> v & 1)),
-                key=lambda m: [not m >> v & 1 for v in vs])
+            touch = [_union(g, m) for m in range(1 << n)]
+            independent = [m for m in range(1 << n) if not m & touch[m]]
             solver = PaintabilitySolver(g, uni(n, 1))
-            got = [m for m, _ in solver._replies(reveal, forced)]
-            assert got == expected, (g.edges(), reveal, forced)
+            for reveal in range(1, 1 << n):
+                vs = [v for v in range(n) if reveal >> v & 1]
+                maximal = sorted(
+                    (m for m in independent if not m & ~reveal
+                     and not any(m | 1 << v in independent for v in vs
+                                 if not m >> v & 1)),
+                    key=lambda m: [not m >> v & 1 for v in vs])
+                forced = reveal
+                while True:
+                    expected = [(m, touch[m]) for m in maximal
+                                if m & forced == forced]
+                    got = list(solver._replies(reveal, forced))
+                    assert got == expected, (g.edges(), reveal, forced)
+                    if not forced:
+                        break
+                    forced = (forced - 1) & reveal
+
+    def test_bits_table(self, monkeypatch):
+        # every mask below the vertex cap against a plain scan; the
+        # table keeps no mask at or above it, whatever the solvers ran,
+        # even with the cap raised after import
+        bound = 1 << oracle.DEFAULT_VERTEX_CAP
+        for mask in range(bound):
+            assert list(oracle._bits(mask)) == [
+                v for v in range(oracle.DEFAULT_VERTEX_CAP) if mask >> v & 1]
+        assert list(oracle._bits(0b101 << 20)) == [20, 22]
+        assert solve_choosability(complete(4), 3) is False
+        assert solve_paintability(cycle(12), uni(12, 2)) == PAINTER
+        monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 13)
+        assert solve_paintability(cycle(13), uni(13, 2)) == LISTER
+        assert oracle._BITS and max(oracle._BITS) < bound
 
     def test_vertex_cap(self):
         g = cycle(13)
@@ -156,6 +180,30 @@ class TestPaintability:
         g4 = cycle(4)
         solver = PaintabilitySolver(g4, uni(4, 2))
         assert solver.winning_reveal({v: 2 for v in range(4)}) is None
+
+    @pytest.mark.parametrize("tokens, match", [
+        ({0: 1, 7: 1}, "vertex 7 is not in 0..3"),
+        ({0: 1, -1: 1}, "vertex -1 is not in 0..3"),
+        ({0: 1, 1.0: 1}, "vertex 1.0 is not in 0..3"),
+        ({0: 0, 1: 2, 2: 2}, "vertex 0 has 0 tokens"),
+        ({0: 2, 1: -1}, "vertex 1 has -1 tokens"),
+        ({0: 1.5, 1: 2, 2: 2, 3: 2}, "vertex 0 has 1.5 tokens"),
+        ({0: True, 1: 1}, "vertex 0 has True tokens"),
+    ])
+    def test_winning_reveal_rejects_bad_states(self, tokens, match):
+        solver = PaintabilitySolver(cycle(4), uni(4, 2))
+        with pytest.raises(PreconditionError, match=match):
+            solver.winning_reveal(tokens)
+
+    @pytest.mark.parametrize("f, match", [
+        ([0, 2, 2, 2], "every budget must be >= 1"),
+        ([2, -1, 2, 2], "every budget must be >= 1"),
+        ([2, 2, 1.5, 2], "budget 1.5 is not an integer"),
+        ([2, 2, 2, "2"], "budget '2' is not an integer"),
+    ])
+    def test_budgets_are_checked(self, f, match):
+        with pytest.raises(PowerPaintError, match=match):
+            solve_paintability(cycle(4), f)
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_budget_length_must_match(self, n):
