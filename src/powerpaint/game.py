@@ -9,7 +9,6 @@ uncolored loses the game for the Painter.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import NamedTuple, Optional
 
@@ -79,6 +78,8 @@ class Transcript:
         return vars(self) == vars(other)
 
     def to_json(self) -> str:
+        import json  # here, so that `import powerpaint` does not load it
+
         obj = {
             "header": {
                 "n": self.n,
@@ -105,6 +106,8 @@ class Transcript:
         """Parse one line of ``to_json``. Invalid JSON, a missing key, a
         wrong container type, a non-integer count, id, k or seed, a
         non-string name or winner or a bad budget raises PowerPaintError."""
+        import json
+
         try:
             obj = json.loads(text)
             h = obj["header"]

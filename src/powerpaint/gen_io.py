@@ -19,7 +19,7 @@ import random
 from typing import Optional
 
 from .errors import GiveUpError, ParseError, PreconditionError
-from .graph import Graph
+from .graph import Graph, _connected, _from_adj
 
 # ---------------------------------------------------------------------------
 # graph6
@@ -32,7 +32,12 @@ _FROM_G6 = bytes.maketrans(_G6_CHARS, _B64)
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (short or 4-byte long size header)."""
+    """Decode one graph6 line (short or 4-byte long size header).
+
+    Once the characters, header, length and padding are checked, the
+    edges need no check: bit i < n(n-1)/2 of the upper triangle names
+    one pair row < col < n, so the rows are simple and symmetric by
+    construction and go to ``graph._from_adj``, not ``Graph``."""
     line = text.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
@@ -71,16 +76,25 @@ def parse_graph6(text: str) -> Graph:
     if n == 0:
         raise ParseError("graph6 with zero vertices", offset=0)
     # Bit i is the pair (row, col) with i = col*(col-1)/2 + row, row < col.
-    edges = []
+    # Bits come in ascending (col, row) order, so each vertex gets its
+    # lower neighbours (as col) before its upper ones (as row), each part
+    # ascending: the rows come out sorted.
+    rows = [[] for _ in range(n)]
+    masks = [0] * n
     col, first = 1, 0
     i = bits.find("1")
     while i >= 0:
         while i >= first + col:
             first += col
             col += 1
-        edges.append((i - first, col))
+        row = i - first
+        rows[row].append(col)
+        rows[col].append(row)
+        masks[row] |= 1 << col
+        masks[col] |= 1 << row
         i = bits.find("1", i + 1)
-    return Graph(n, edges)
+    adj = tuple(map(tuple, rows))
+    return _from_adj(adj, masks, _connected(adj))
 
 
 def write_graph6(g: Graph) -> str:

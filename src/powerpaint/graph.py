@@ -61,14 +61,14 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in neigh)
         self.masks = tuple(sum(1 << u for u in s) for s in neigh)
-        self.connected = len(ball(self, [0])) == n
+        self.connected = _connected(self.adj)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     @property
     def max_degree(self) -> int:
-        return max(len(a) for a in self.adj)
+        return max(map(len, self.adj))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -83,7 +83,7 @@ class Graph:
         return DistanceMatrix.from_graph(self)
 
     def is_regular(self) -> bool:
-        return len({len(a) for a in self.adj}) == 1
+        return len(set(map(len, self.adj))) == 1
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj
@@ -95,14 +95,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges()})"
 
 
+def _connected(adj) -> bool:
+    """Whether vertex 0 reaches every vertex over the rows ``adj``: the
+    rule for ``Graph.connected``, whichever constructor made the rows."""
+    seen, todo = {0}, [0]
+    for v in todo:
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == len(adj)
+
+
 def _from_adj(adj: list[tuple[int, ...]], masks: list[int],
               connected: bool) -> Graph:
     """Wrap adjacency rows and their bitmasks as a Graph without
     validating them. It trusts that each row is a sorted tuple of
     vertices in range, that the rows are symmetric and loop-free, that
     ``masks[v]`` has exactly the bits of ``adj[v]``, and that
-    ``connected`` is true of them. Outside input goes through
-    ``Graph(n, edges)``."""
+    ``connected`` is true of them. Its two callers meet this by
+    construction: ``kth_power`` reads rows and masks off a ball sweep of
+    a valid graph (distance is symmetric, v leaves its own ball), and
+    ``gen_io.parse_graph6`` decodes an upper triangle whose every bit
+    names one pair row < col < n. Every other outside input goes
+    through ``Graph(n, edges)``."""
     g = object.__new__(Graph)
     g.n = len(adj)
     g.adj = tuple(adj)
@@ -211,17 +227,18 @@ def distance_order(g: Graph, targets: Iterable[int], head=(),
     ``targets`` (ties by id), then ``tail``."""
     d = ball(g, targets)
     fixed = set(head) | set(tail)
-    rest = sorted((u for u in range(g.n) if u not in fixed),
-                  key=lambda u: (-d[u], u))
+    rest = [u for u in range(g.n) if u not in fixed]
+    rest.sort(key=d.__getitem__, reverse=True)  # stable: ties ascend
     return tuple(head) + tuple(rest) + tuple(tail)
 
 
 def kth_power(g: Graph, k: int) -> Graph:
     """Graph on the same vertices with edges between all pairs at
     distance 1..k in ``g``. Bit u of ``reach[v]``, level min(k, R) of
-    ``_balls``, is set iff u is within k hops of v. The mask of v is
-    ``reach[v]`` without v, and its sorted neighbors are the positions of
-    the ones in its reversed binary string."""
+    ``_balls``, is set iff u is within k hops of v; the mask of v is
+    ``reach[v]`` without v. Distance is symmetric, so each pair u > v is
+    decoded once, from v: past position v of its reversed binary
+    string, and goes to both rows."""
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if not g.connected:
@@ -232,17 +249,21 @@ def kth_power(g: Graph, k: int) -> Graph:
         pass
     # Rows are loop-free once v is removed, symmetric, and connected. The
     # masks are made in place once the sweep is gone; the rows take their
-    # entries from one ``ids`` list, not one int object per entry.
-    masks, rows = reach, []
-    ids = list(range(g.n))
-    for v in range(g.n):
+    # entries from one ``ids`` list. Row v gets its part below v, in
+    # ascending order, from the earlier vertices, then its part above v:
+    # it is sorted and final, and only later vertices' rows stay lists.
+    masks, ids = reach, list(range(g.n))
+    rows = [[] for _ in ids]
+    for v in ids:
         masks[v] ^= 1 << v
         bits = bin(masks[v])[:1:-1]
-        row, i = [], bits.find("1")
+        row, i = rows[v], bits.find("1", v + 1)
         while i >= 0:
-            row.append(ids[i])
+            u = ids[i]
+            row.append(u)
+            rows[u].append(v)
             i = bits.find("1", i + 1)
-        rows.append(tuple(row))
+        rows[v] = tuple(row)
     return _from_adj(rows, masks, True)
 
 
@@ -443,13 +464,13 @@ def classify(g: Graph, k: int,
         raise PreconditionError(f"k must be >= 3, got {k}")
     if not g.connected:
         raise PreconditionError("classify requires a connected graph")
-    if g.max_degree < 3:
-        raise PreconditionError(
-            f"maximum degree must be >= 3, got {g.max_degree}")
-    delta = g.max_degree
-    for v in range(g.n):
-        if g.degree(v) < delta:
-            return CaseLabel(CaseLabel.NON_REGULAR, low_degree_vertex=v)
+    degrees = list(map(len, g.adj))
+    delta = max(degrees)
+    if delta < 3:
+        raise PreconditionError(f"maximum degree must be >= 3, got {delta}")
+    if min(degrees) < delta:  # the witness is the least such vertex
+        return CaseLabel(CaseLabel.NON_REGULAR, low_degree_vertex=next(
+            v for v, d in enumerate(degrees) if d < delta))
     gir, roots, _ = (_sweep(g, _balls(g)) if report is None
                      else (report.girth, range(g.n), None))
     if gir is not None and gir < 2 * k:

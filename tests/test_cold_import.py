@@ -26,6 +26,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert loaded_after_import("", ("dataclasses", "inspect")) == []
 
 
+def test_import_loads_no_json():
+    # transcripts import json in to_json/from_json, when they are used
+    assert loaded_after_import("", ("json",)) == []
+
+
 def test_import_loads_no_re_of_its_own():
     # json (for transcripts) and, before Python 3.13, typing import re
     # themselves: load them first and drop re, so that only an import

@@ -289,24 +289,25 @@ class TestKthPower:
         assert kth_power(cycle(6), 3) == complete(6)
 
     def test_matches_networkx_power(self):
-        # n > 64: the power's masks span several machine words
-        graphs = ([random_regular(12, 3, seed) for seed in range(5)]
-                  + [random_regular(100, 3, 7), lcf(*FOSTER_LCF)])
+        # The unchecked rows, masks and flag equal what the validating
+        # constructor builds from networkx's power (Graph.__eq__ compares
+        # adj only). n > 64: the masks span several machine words.
+        rng = random.Random(36)
+        graphs = ([Graph(1, []), path(2), path(9), lcf(*FOSTER_LCF)]
+                  + [random_regular(12, 3, seed) for seed in range(5)]
+                  + [random_regular(100, 3, 7)])
+        for n in (5, 20, 70):  # a random tree plus random chords
+            edges = [(v, rng.randrange(v)) for v in range(1, n)]
+            edges += [(u, v) for u in range(n) for v in range(u)
+                      if rng.random() < 0.05]
+            graphs.append(Graph(n, edges))
         for g in graphs:
             for k in (1, 2, 3, 4):
-                expected = nx.power(to_nx(g), k)
                 got = kth_power(g, k)
-                assert set(got.edges()) == {
-                    (min(e), max(e)) for e in expected.edges()}
-                # the unchecked rows equal what the validating
-                # constructor builds from the same edges
-                rebuilt = Graph(g.n, got.edges())
-                assert got == rebuilt and hash(got) == hash(rebuilt)
-                for v in range(g.n):
-                    assert isinstance(got.adj[v], tuple)
-                    assert list(got.adj[v]) == sorted(got.adj[v])
-                    assert got.masks[v] == sum(1 << u for u in got.adj[v])
-                assert got.connected
+                expected = Graph(g.n, nx.power(to_nx(g), k).edges())
+                assert ((got.adj, got.masks, got.connected)
+                        == (expected.adj, expected.masks, True)), (g, k)
+                assert hash(got) == hash(expected)
 
     def test_monotone_in_k(self):
         g = mcgee()
@@ -436,6 +437,17 @@ class TestClassify:
         label = classify(g, 3)
         assert label.kind == CaseLabel.NON_REGULAR
         assert g.degree(label.low_degree_vertex) == 2
+
+    def test_non_regular_witness_is_the_least_low_vertex(self):
+        # degrees 3, 3, 2, 2, 3, 1, 3, 2, 2, 3: vertex 5 is lower than
+        # vertex 2, but 2 is the least vertex of degree below 3
+        drop = {(2, 3), (5, 7), (5, 8)}
+        g = Graph(10, [e for e in petersen().edges() if e not in drop])
+        assert [g.degree(v) for v in range(10)] == [3, 3, 2, 2, 3, 1,
+                                                    3, 2, 2, 3]
+        assert g.connected and g.max_degree == 3 and not g.is_regular()
+        assert classify(g, 3) == CaseLabel(CaseLabel.NON_REGULAR,
+                                           low_degree_vertex=2)
 
     def test_ball_counting_bound(self):
         # classify's argument that MainCase forces diameter > k: in a
