@@ -46,36 +46,23 @@ class GameState:
 
 
 class Round(NamedTuple):
-    # ``index`` shadows ``tuple.index``, which nothing here calls.
-    index: int
+    """One round's reveal and the subset colored from it."""
     revealed: tuple[int, ...]
     colored: tuple[int, ...]
 
 
-class Transcript:
-    """One game's record. Mutable: the referee appends rounds and sets
-    the winner as play goes on."""
-
-    def __init__(self, n: int, budgets: TokenBudgets, painter_name: str,
-                 lister_name: str, seed: Optional[int],
-                 rounds: Optional[list[Round]] = None,
-                 winner: str = "",  # "painter" | "lister"
-                 loser_vertex: Optional[int] = None,
-                 k: Optional[int] = None):
-        self.n = n
-        self.budgets = budgets
-        self.painter_name = painter_name
-        self.lister_name = lister_name
-        self.seed = seed
-        self.rounds = [] if rounds is None else rounds
-        self.winner = winner
-        self.loser_vertex = loser_vertex
-        self.k = k
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
+class Transcript(NamedTuple):
+    """One game's record, built once when the game ends. Round i is
+    ``rounds[i - 1]``."""
+    n: int
+    budgets: TokenBudgets
+    painter_name: str
+    lister_name: str
+    seed: Optional[int]
+    rounds: tuple[Round, ...] = ()
+    winner: str = ""  # "painter" | "lister"
+    loser_vertex: Optional[int] = None
+    k: Optional[int] = None
 
     def to_json(self) -> str:
         import json  # here, so that `import powerpaint` does not load it
@@ -90,10 +77,10 @@ class Transcript:
                 "seed": self.seed,
             },
             "rounds": [
-                {"round": r.index,
+                {"round": i,
                  "revealed": sorted(r.revealed),
                  "colored": sorted(r.colored)}
-                for r in self.rounds
+                for i, r in enumerate(self.rounds, 1)
             ],
             "winner": self.winner,
         }
@@ -105,35 +92,39 @@ class Transcript:
     def from_json(cls, text: str) -> "Transcript":
         """Parse one line of ``to_json``. Invalid JSON, a missing key, a
         wrong container type, a non-integer count, id, k or seed, a
-        non-string name or winner or a bad budget raises PowerPaintError."""
+        round number out of sequence, a non-string name or winner or a
+        bad budget raises PowerPaintError."""
         import json
 
         try:
             obj = json.loads(text)
             h = obj["header"]
-            seed, k = h.get("seed"), h.get("k")
-            t = cls(
+            seed, k, loser = h.get("seed"), h.get("k"), obj.get("loser_vertex")
+            return cls(
                 n=_int(h["n"], "n"),
                 budgets=TokenBudgets(h["budget"]),
                 painter_name=_str(h["painter"], "painter"),
                 lister_name=_str(h["lister"], "lister"),
                 seed=None if seed is None else _int(seed, "seed"),
                 k=None if k is None else _int(k, "k"),
+                rounds=tuple(_round(i, r)
+                             for i, r in enumerate(obj["rounds"], 1)),
+                winner=_str(obj["winner"], "winner"),
+                loser_vertex=None if loser is None else _int(loser, "vertex"),
             )
-            t.rounds = [
-                Round(index=_int(r["round"], "round"),
-                      revealed=tuple(_int(v, "vertex") for v in r["revealed"]),
-                      colored=tuple(_int(v, "vertex") for v in r["colored"]))
-                for r in obj["rounds"]
-            ]
-            t.winner = _str(obj["winner"], "winner")
-            loser = obj.get("loser_vertex")
         except KeyError as exc:
             raise PowerPaintError(f"transcript has no {exc} field") from exc
         except (TypeError, AttributeError, ValueError) as exc:
             raise PowerPaintError(f"malformed transcript: {exc}") from exc
-        t.loser_vertex = None if loser is None else _int(loser, "vertex")
-        return t
+
+
+def _round(i: int, r: dict) -> Round:
+    """Round i of a transcript's JSON; its ``round`` field must be i."""
+    index = _int(r["round"], "round")
+    if index != i:
+        raise PowerPaintError(f"round index {index} out of sequence, round {i}")
+    return Round(revealed=tuple(_int(v, "vertex") for v in r["revealed"]),
+                 colored=tuple(_int(v, "vertex") for v in r["colored"]))
 
 
 def _int(x, what: str) -> int:
@@ -204,10 +195,9 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
     lister.reset()
     painter.reset()
     state = GameState(budgets)
-    t = Transcript(n=game_graph.n, budgets=budgets,
-                   painter_name=painter.name, lister_name=lister.name,
-                   seed=seed, k=k)
-    while state.tokens:
+    rounds = []
+    loser = None
+    while state.tokens and loser is None:
         if state.round >= max_rounds:
             raise PowerPaintError(
                 f"game exceeded {max_rounds} rounds; referee bug")
@@ -216,14 +206,10 @@ def play_game(game_graph: Graph, budgets: TokenBudgets, lister, painter,
         _check_reveal(state, revealed)
         colored = set(painter.choose_colors(state, game_graph, revealed))
         loser = _apply_coloring(game_graph, state, revealed, colored)
-        t.rounds.append(Round(index=state.round,
-                              revealed=tuple(sorted(revealed)),
-                              colored=tuple(sorted(colored))))
-        if loser is not None:
-            t.winner, t.loser_vertex = "lister", loser
-            return t
-    t.winner = "painter"
-    return t
+        rounds.append(Round(tuple(sorted(revealed)), tuple(sorted(colored))))
+    return Transcript(game_graph.n, budgets, painter.name, lister.name, seed,
+                      tuple(rounds), "painter" if loser is None else "lister",
+                      loser, k)
 
 
 def validate_transcript(game_graph: Graph, budgets: TokenBudgets,
@@ -237,12 +223,12 @@ def validate_transcript(game_graph: Graph, budgets: TokenBudgets,
     state = GameState(budgets)
     loser = None
     for i, r in enumerate(t.rounds, start=1):
-        if r.index != i:
-            return f"round index {r.index} out of sequence, round {i}"
         if loser is not None:
             return f"play continues after the game ended, round {i}"
         state.round = i
         revealed, colored = set(r.revealed), set(r.colored)
+        if len(revealed) < len(r.revealed) or len(colored) < len(r.colored):
+            return f"vertex listed twice, round {i}"
         try:
             _check_reveal(state, revealed)
             loser = _apply_coloring(game_graph, state, revealed, colored)

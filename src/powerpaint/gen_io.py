@@ -2,10 +2,11 @@
 reading, the named graphs used throughout the tests, and a pairing-model
 random regular generator.
 
-A graph6 body character is 63 plus a 6-bit group of edge bits, which is
-one base64 digit, so the codec is ``binascii`` base64 and a translation
-table between the two alphabets. Bit strings become integers only in
-base 2, which ``int_max_str_digits`` does not limit.
+A graph6 line is a size header, then the upper triangle's edge bits in
+column order: bit i = col*(col-1)/2 + row is set iff row < col are
+adjacent. Body byte p is 63 plus bits 6p..6p+5, most significant bit
+first, and the last byte's unused low bits are zero (McKay, "graph6 and
+sparse6 graph formats").
 
 Randomness comes from ``random.Random`` (Mersenne Twister), which is
 specified by the Python standard library and produces identical streams
@@ -14,7 +15,6 @@ on every platform, so seeded corpora are reproducible byte-for-byte.
 
 from __future__ import annotations
 
-import binascii
 import random
 from typing import Optional
 
@@ -25,10 +25,9 @@ from .graph import Graph, _connected, _from_adj
 # graph6
 
 _G6_MAX_LONG = 258047
-_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_G6_CHARS = bytes(range(63, 127))
-_TO_G6 = bytes.maketrans(_B64, _G6_CHARS)
-_FROM_G6 = bytes.maketrans(_G6_CHARS, _B64)
+# byte -> b"0" for "?" (no edge bit), b"1" for 64..126, b"!" outside 63..126
+_G6_SCAN = bytes(48 if c == 63 else 49 if 63 < c < 127 else 33
+                 for c in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -44,11 +43,11 @@ def parse_graph6(text: str) -> Graph:
     if not line:
         raise ParseError("empty graph6 line", offset=0)
     data = line.encode()
-    if data.translate(None, _G6_CHARS):  # some byte outside 63..126
-        i = next(i for i, c in enumerate(data) if not 63 <= c <= 126)
+    scan = data.translate(_G6_SCAN)
+    i = scan.find(b"!")
+    if i >= 0:
         raise ParseError(f"character {data[i:i+1]!r} outside 63..126",
                          offset=i)
-    pos = 0
     if data[0] == 126:  # '~'
         if len(data) >= 2 and data[1] == 126:
             raise ParseError("8-byte graph6 size header not supported",
@@ -66,33 +65,31 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"expected {nbytes} body bytes for n={n}, got {len(data) - pos}",
             offset=pos)
-    raw = binascii.a2b_base64(
-        data[pos:].translate(_FROM_G6) + b"A" * (-nbytes % 4))
-    bits = format(int.from_bytes(raw, "big"),
-                  f"0{8 * len(raw)}b")[:nbytes * 6]
-    i = bits.find("1", nbits)
-    if i >= 0:
-        raise ParseError("nonzero padding bits", offset=pos + i // 6)
+    if nbytes and (data[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise ParseError("nonzero padding bits", offset=len(data) - 1)
     if n == 0:
         raise ParseError("graph6 with zero vertices", offset=0)
-    # Bit i is the pair (row, col) with i = col*(col-1)/2 + row, row < col.
     # Bits come in ascending (col, row) order, so each vertex gets its
     # lower neighbours (as col) before its upper ones (as row), each part
     # ascending: the rows come out sorted.
     rows = [[] for _ in range(n)]
     masks = [0] * n
     col, first = 1, 0
-    i = bits.find("1")
-    while i >= 0:
-        while i >= first + col:
-            first += col
-            col += 1
-        row = i - first
-        rows[row].append(col)
-        rows[col].append(row)
-        masks[row] |= 1 << col
-        masks[col] |= 1 << row
-        i = bits.find("1", i + 1)
+    p = scan.find(b"1", pos)
+    while p >= 0:
+        byte, i = data[p] - 63, 6 * (p - pos)
+        for bit in (32, 16, 8, 4, 2, 1):
+            if byte & bit:
+                while i >= first + col:
+                    first += col
+                    col += 1
+                row = i - first
+                rows[row].append(col)
+                rows[col].append(row)
+                masks[row] |= 1 << col
+                masks[col] |= 1 << row
+            i += 1
+        p = scan.find(b"1", p + 1)
     adj = tuple(map(tuple, rows))
     return _from_adj(adj, masks, _connected(adj))
 
@@ -107,19 +104,15 @@ def write_graph6(g: Graph) -> str:
     else:
         header = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63),
                   63 + (n & 63)]
-    nbits = n * (n - 1) // 2
-    if not nbits:
-        return bytes(header).decode("ascii")
-    bits = bytearray(b"0") * (nbits + (-nbits) % 24)
+    body = bytearray(b"?") * ((n * (n - 1) // 2 + 5) // 6)
     for col in range(1, n):
         first = col * (col - 1) // 2
         for row in g.adj[col]:
             if row >= col:
                 break
-            bits[first + row] = 49  # '1'
-    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
-    body = binascii.b2a_base64(raw, newline=False)[:(nbits + 5) // 6]
-    return (bytes(header) + body.translate(_TO_G6)).decode("ascii")
+            i = first + row
+            body[i // 6] += 32 >> i % 6
+    return (bytes(header) + body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

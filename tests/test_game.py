@@ -185,17 +185,15 @@ class TestTranscript:
 
     def test_equality_reads_every_field(self):
         _, _, t = self.run_one()
-        for name in vars(t):
+        for name in t._fields:
             other = Transcript.from_json(t.to_json())
-            setattr(other, name, "changed")
-            assert other != t, name
+            assert other._replace(**{name: "changed"}) != t, name
 
     def test_colored_not_revealed_violation(self):
         g, budgets, t = self.run_one()
-        bad = Transcript.from_json(t.to_json())
-        bad.rounds[0] = Round(1, bad.rounds[0].revealed, (3,)) \
-            if 3 not in bad.rounds[0].revealed else \
-            Round(1, tuple(v for v in bad.rounds[0].revealed if v != 3), (3,))
+        revealed = t.rounds[0].revealed
+        first = Round(tuple(v for v in revealed if v != 3), (3,))
+        bad = t._replace(rounds=(first,) + t.rounds[1:])
         msg = validate_transcript(g, budgets, bad)
         assert msg and "round 1" in msg
 
@@ -203,38 +201,41 @@ class TestTranscript:
         g = complete(3)
         budgets = TokenBudgets.uniform(3, 3)
         bad = Transcript(n=3, budgets=budgets, painter_name="x",
-                         lister_name="y", seed=None)
-        bad.rounds = [Round(1, (0, 1, 2), (0, 1))]
-        bad.winner = "painter"
+                         lister_name="y", seed=None,
+                         rounds=(Round((0, 1, 2), (0, 1)),), winner="painter")
         msg = validate_transcript(g, budgets, bad)
         assert "dependent set, round 1" in msg
 
     def test_wrong_winner_detected(self):
         g, budgets, t = self.run_one()
-        bad = Transcript.from_json(t.to_json())
-        bad.winner = "lister" if t.winner == "painter" else "painter"
+        bad = t._replace(
+            winner="lister" if t.winner == "painter" else "painter")
         assert validate_transcript(g, budgets, bad) is not None
 
 
-# (case, header budget, rounds, winner, loser, expected message, round
-# named in it); each is replayed on K2 with one token per vertex.
+# (case, header budget, rounds as (revealed, colored), winner, loser,
+# expected message, round named in it); each is replayed on K2 with one
+# token per vertex. A round number out of sequence is refused earlier,
+# by Transcript.from_json (test_from_json_rejects_malformed_lines).
 REJECTIONS = [
     ("vertex count", [1, 1, 1], [], "painter", None,
      "header vertex count mismatch", None),
-    ("budget", [2, 2], [(1, (0,), (0,)), (2, (1,), (1,))], "painter", None,
+    ("budget", [2, 2], [((0,), (0,)), ((1,), (1,))], "painter", None,
      "header budget mismatch", None),
-    ("index", [1, 1], [(2, (0,), (0,))], "painter", None,
-     "round index 2 out of sequence", 1),
-    ("after end", [1, 1], [(1, (0, 1), (0,)), (2, (1,), (1,))], "lister", 1,
+    ("after end", [1, 1], [((0, 1), (0,)), ((1,), (1,))], "lister", 1,
      "play continues after the game ended", 2),
-    ("empty reveal", [1, 1], [(1, (), ())], "painter", None,
+    ("empty reveal", [1, 1], [((), ())], "painter", None,
      "empty reveal", 1),
-    ("not alive", [1, 1], [(1, (0,), (0,)), (2, (0,), ())], "painter", None,
+    ("not alive", [1, 1], [((0,), (0,)), ((0,), ())], "painter", None,
      "revealed vertex not alive", 2),
-    ("unfinished", [1, 1], [(1, (0,), (0,))], "painter", None,
+    ("unfinished", [1, 1], [((0,), (0,))], "painter", None,
      "transcript ends with uncolored vertices and no loser", None),
-    ("loser", [1, 1], [(1, (0, 1), (0,))], "lister", 0,
+    ("loser", [1, 1], [((0, 1), (0,))], "lister", 0,
      "recorded loser 0, replay says 1", None),
+    ("revealed twice", [1, 1], [((0, 0), (0,)), ((1,), (1,))], "painter",
+     None, "vertex listed twice", 1),
+    ("colored twice", [1, 1], [((0,), (0, 0)), ((1,), (1,))], "painter",
+     None, "vertex listed twice", 1),
 ]
 
 
@@ -243,9 +244,9 @@ REJECTIONS = [
 def test_validator_rejections(case, budget, rounds, winner, loser, expected,
                               round_i):
     t = Transcript(n=len(budget), budgets=TokenBudgets(budget),
-                   painter_name="x", lister_name="y", seed=None)
-    t.rounds = [Round(*r) for r in rounds]
-    t.winner, t.loser_vertex = winner, loser
+                   painter_name="x", lister_name="y", seed=None,
+                   rounds=tuple(Round(*r) for r in rounds), winner=winner,
+                   loser_vertex=loser)
     msg = validate_transcript(complete(2), TokenBudgets.uniform(2, 1), t)
     assert msg is not None and expected in msg
     if round_i is not None:
@@ -328,6 +329,10 @@ MALFORMED = [
         "rounds": []}), "no 'winner' field"),
     ("list header", json.dumps({"header": [2], "rounds": []}),
      "malformed transcript"),
+    ("round out of sequence", json.dumps({
+        "header": {"n": 2, "budget": [1, 1], "painter": "x", "lister": "y"},
+        "rounds": [{"round": 2, "revealed": [0], "colored": [0]}],
+        "winner": "painter"}), "round index 2 out of sequence, round 1"),
     ("not JSON", "{", "malformed transcript"),
 ] + [(f"{name} budget", json.dumps({
     "header": {"n": 3, "budget": [b] * 3, "painter": "x", "lister": "y"},

@@ -80,6 +80,36 @@ class ConverseLister:
         return {self.u} if x is None else {self.u, x}
 
 
+class CountersDropped(TheoremPainter):
+    """Ablation: the NO_v/NO_w counters stay 0, so row 1's steer reads
+    "v or w not revealed"."""
+
+    name = "counters_dropped"
+
+    def choose_colors(self, state, game_graph, revealed):
+        colored = super().choose_colors(state, game_graph, revealed)
+        self.no_v = self.no_w = 0
+        return colored
+
+
+def counters_witness(f, game_graph):
+    """{v, x1}; {v, y1}; {v, x2, y2}; {v, w}; then {v, u} for each u
+    outside the frame. Without the counters, row 1's steer colors x1 and
+    then y1 alone in a v-round, and v, scanned last, loses a token in
+    every round."""
+    return ScriptLister("counters_witness", [
+        {f.v, f.x1}, {f.v, f.y1}, {f.v, f.x2, f.y2}, {f.v, f.w}]
+        + [{f.v, u} for u in outside_frame(f, game_graph, f.v)])
+
+
+# One witness attack per ablated rule on McGee^3 at D - 1 tokens:
+# (case, ablated painter, witness lister, loser, round it runs out,
+# rounds of dispatch_painter's win on the same script).
+ABLATIONS = [
+    ("counters dropped", CountersDropped, counters_witness, 8, 20, 23),
+]
+
+
 class TestGreedyScan:
     def test_scan_matches_the_order_walk(self):
         # The scan visits the reveal sorted by rank; the walk it replaced
@@ -238,6 +268,23 @@ class TestTheoremPainter:
             assert t.winner == "painter", lister.name
             assert validate_transcript(game_graph, budgets, t) is None
 
+    @pytest.mark.parametrize("case,ablated,witness,loser,rounds,wins_in",
+                             ABLATIONS, ids=[c[0] for c in ABLATIONS])
+    def test_ablation_loses_to_its_witness(self, case, ablated, witness,
+                                           loser, rounds, wins_in):
+        g = mcgee()
+        painter, _, _ = dispatch_painter(g, 3)
+        game_graph = kth_power(g, 3)
+        budgets = TokenBudgets.uniform(g.n, painter.M - 1)
+        lister = witness(painter.frame, game_graph)
+        t = play_game(game_graph, budgets, lister, ablated(g, 3))
+        assert (t.winner, t.loser_vertex, len(t.rounds)) == (
+            "lister", loser, rounds)
+        assert validate_transcript(game_graph, budgets, t) is None
+        t = play_game(game_graph, budgets, lister, painter)
+        assert (t.winner, len(t.rounds)) == ("painter", wins_in)
+        assert validate_transcript(game_graph, budgets, t) is None
+
     def test_decisions_pinned(self):
         # One digest over the main painter's games on McGee^3 and Foster^4
         # at M - 1 tokens: any change to a decision shows here.
@@ -268,11 +315,11 @@ class TestTheoremPainter:
             t = play_game(game_graph, budgets, lister, painter)
             colored_round = {}
             revealed_uncolored = {z: 0 for z in f.frame_vertices()}
-            for r in t.rounds:
+            for i, r in enumerate(t.rounds, 1):
                 for v in r.colored:
-                    colored_round[v] = r.index
+                    colored_round[v] = i
                 for z in revealed_uncolored:
-                    if z in r.revealed and colored_round.get(z, 10 ** 9) > r.index:
+                    if z in r.revealed and colored_round.get(z, 10 ** 9) > i:
                         revealed_uncolored[z] += 1
             for z in (f.x1, f.y1):
                 assert z in colored_round
